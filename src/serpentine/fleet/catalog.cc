@@ -134,6 +134,7 @@ serpentine::StatusOr<Catalog> Catalog::Build(const FleetTopology& topology,
   candidates.reserve(libraries);
   for (int64_t logical = 0; logical < logical_segments; ++logical) {
     chosen.clear();
+    catalog.replicas_[logical].reserve(options.replication);
     for (int r = 0; r < options.replication; ++r) {
       // Candidates: non-full libraries not already holding this segment.
       candidates.clear();

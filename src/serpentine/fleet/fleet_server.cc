@@ -151,8 +151,7 @@ void FleetEngine::Submit(const sim::ServingRequest& request) {
   scores_.resize(replicas.size());
   for (size_t i = 0; i < replicas.size(); ++i) {
     const sim::ServingCore& core = *cores_[replicas[i].library];
-    // With one replica the route is decided; skip the O(queue-depth)
-    // estimate, which would otherwise dominate saturated runs.
+    // With one replica the route is decided; skip the estimate.
     scores_[i].seconds =
         replicas.size() == 1
             ? 0.0

@@ -165,6 +165,7 @@ ServingCore::ServingCore(std::vector<const tape::LocateModel*> models,
   }
   cpu_budget_active_ = config_.degradation.enabled &&
                        std::isfinite(config_.degradation.cpu_budget_seconds);
+  ResetFold();
 }
 
 void ServingCore::Push(const ServingRequest& request) {
@@ -188,72 +189,49 @@ bool ServingCore::breaker_open() const {
          health_->breaker().state() == drive::BreakerState::kOpen;
 }
 
-double ServingCore::FifoEstimateSeconds(
-    const ServingRequest& candidate) const {
-  // Single-cartridge fast path: the PR 6 admission oracle, expression for
-  // expression — FIFO because admission must answer *before* the batch is
-  // scheduled; the real scheduler only does better, so the bound errs
-  // toward shedding.
-  if (models_.size() == 1) {
-    sched::Schedule plan;
-    plan.algorithm = sched::Algorithm::kFifo;
-    plan.initial_position = drive_->Position();
-    plan.order.reserve(pending_.size() + 1);
-    for (const ServingRequest& p : pending_) {
-      plan.order.push_back(sched::Request{p.segment, 1});
-    }
-    plan.order.push_back(sched::Request{candidate.segment, 1});
-    return sched::EstimateScheduleSeconds(*models_[0], plan);
+void ServingCore::Extend(FifoFold& fold, int cartridge,
+                         tape::SegmentId segment) const {
+  // FIFO because admission must answer *before* the batch is scheduled;
+  // the real scheduler only does better, so the bound errs toward
+  // shedding. A cartridge change charges the single-reel rewind plus the
+  // exchange.
+  if (cartridge != fold.cartridge) {
+    fold.closed = (fold.closed + fold.run) +
+                  (models_[fold.cartridge]->RewindSeconds(fold.head) +
+                   mount_exchange_seconds_);
+    fold.run = 0.0;
+    fold.cartridge = cartridge;
+    fold.head = 0;
   }
-  std::vector<std::pair<int, tape::SegmentId>> chain;
-  chain.reserve(pending_.size() + 1);
-  for (const ServingRequest& p : pending_) {
-    chain.emplace_back(p.cartridge, p.segment);
-  }
-  chain.emplace_back(candidate.cartridge, candidate.segment);
-  return EstimateChainSeconds(chain);
+  const tape::LocateModel& model = *models_[cartridge];
+  const tape::TapeGeometry& g = model.geometry();
+  SERPENTINE_CHECK_GE(segment, 0);
+  SERPENTINE_CHECK_LT(segment, g.total_segments());
+  fold.run += model.LocateSeconds(fold.head, segment);
+  fold.run += model.ReadSeconds(segment, segment);
+  fold.head = sched::OutPosition(g, sched::Request{segment, 1});
 }
 
-double ServingCore::EstimateChainSeconds(
-    const std::vector<std::pair<int, tape::SegmentId>>& chain) const {
-  // FIFO bound over a cross-cartridge chain: consecutive same-cartridge
-  // runs are priced by that cartridge's model; every cartridge change
-  // charges the single-reel rewind plus the exchange.
-  double total = 0.0;
-  int cart = mounted_;
-  tape::SegmentId head = drive_->Position();
-  size_t i = 0;
-  while (i < chain.size()) {
-    if (chain[i].first != cart) {
-      total += models_[cart]->RewindSeconds(head) + mount_exchange_seconds_;
-      cart = chain[i].first;
-      head = 0;
-    }
-    sched::Schedule plan;
-    plan.algorithm = sched::Algorithm::kFifo;
-    plan.initial_position = head;
-    while (i < chain.size() && chain[i].first == cart) {
-      plan.order.push_back(sched::Request{chain[i].second, 1});
-      ++i;
-    }
-    total += sched::EstimateScheduleSeconds(*models_[cart], plan);
-    head = sched::OutPosition(models_[cart]->geometry(), plan.order.back());
+const ServingCore::FifoFold& ServingCore::PendingFold() const {
+  for (; folded_ < pending_.size(); ++folded_) {
+    Extend(fold_, pending_[folded_].cartridge, pending_[folded_].segment);
   }
-  return total;
+  return fold_;
+}
+
+void ServingCore::ResetFold() {
+  fold_ = FifoFold{.cartridge = mounted_, .head = drive_->Position()};
+  folded_ = 0;
 }
 
 double ServingCore::EstimateServiceSeconds(int cartridge,
                                            tape::SegmentId segment) const {
-  std::vector<std::pair<int, tape::SegmentId>> chain;
-  chain.reserve(pending_.size() + routed_.size() + 1);
-  for (const ServingRequest& p : pending_) {
-    chain.emplace_back(p.cartridge, p.segment);
-  }
+  FifoFold fold = PendingFold();
   for (const ServingRequest& r : routed_) {
-    chain.emplace_back(r.cartridge, r.segment);
+    Extend(fold, r.cartridge, r.segment);
   }
-  chain.emplace_back(cartridge, segment);
-  return EstimateChainSeconds(chain);
+  Extend(fold, cartridge, segment);
+  return fold.closed + fold.run;
 }
 
 bool ServingCore::AdmitDue() {
@@ -276,8 +254,11 @@ bool ServingCore::AdmitDue() {
             " at capacity " +
             std::to_string(config_.admission.max_queue_depth));
       } else if (std::isfinite(a.deadline)) {
-        double estimate = FifoEstimateSeconds(a);
-        double eta = clock_ + config_.admission.slack * estimate;
+        // The FIFO completion estimate of the admitted queue plus `a`.
+        FifoFold fold = PendingFold();
+        Extend(fold, a.cartridge, a.segment);
+        double eta =
+            clock_ + config_.admission.slack * (fold.closed + fold.run);
         if (eta > a.deadline) {
           verdict = DeadlineExceededError(
               "admission: deadline at " + std::to_string(a.deadline) +
@@ -455,7 +436,8 @@ void ServingCore::Dispatch() {
   obs::IncrementCounter("online.batches");
   obs::ObserveHistogram("online.batch_size",
                         static_cast<double>(members.size()));
-  obs::TraceCounter(obs::TraceClock::kVirtual, "online.depth", clock_, 0.0);
+  obs::TraceCounter(obs::TraceClock::kVirtual, "online.depth", clock_,
+                    static_cast<double>(pending_.size()));
   double dispatch_clock = clock_;
 
   double build_seconds = 0.0;
@@ -487,6 +469,7 @@ void ServingCore::Dispatch() {
     SERPENTINE_CHECK(schedule.ok());
     ExecuteGroup(group, *schedule);
   }
+  ResetFold();
 
   if (config_.degradation.enabled) {
     if (cpu_budget_active_) {

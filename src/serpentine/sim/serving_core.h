@@ -153,7 +153,11 @@ class ServingCore {
   bool breaker_open() const;
   /// FIFO completion estimate (seconds from this core's clock) of every
   /// request queued here plus a candidate read at (cartridge, segment) —
-  /// the router's service-time score, cartridge switches included. Pure.
+  /// the router's service-time score, cartridge switches included. O(1)
+  /// amortized, plus one step per undelivered arrival (none after
+  /// fleet::FleetEngine::CrankTo). Lazy but observably pure: it extends a
+  /// running fold of the queue and returns the from-scratch FIFO sum, bit
+  /// for bit.
   double EstimateServiceSeconds(int cartridge,
                                 tape::SegmentId segment) const;
 
@@ -176,9 +180,19 @@ class ServingCore {
   void SwitchCartridge(int cartridge);
   void ExecuteGroup(const std::vector<ServingRequest>& members,
                     const sched::Schedule& schedule);
-  double FifoEstimateSeconds(const ServingRequest& candidate) const;
-  double EstimateChainSeconds(
-      const std::vector<std::pair<int, tape::SegmentId>>& chain) const;
+  /// A FIFO estimate summed in queue order, as EstimateScheduleSeconds
+  /// sums a run: finished runs and switches in `closed`, the open run on
+  /// `cartridge` in `run`, leaving the head at `head`.
+  struct FifoFold {
+    double closed = 0.0;
+    double run = 0.0;
+    int cartridge = 0;
+    tape::SegmentId head = 0;
+  };
+  void Extend(FifoFold& fold, int cartridge, tape::SegmentId segment) const;
+  /// fold_, extended over all of pending_.
+  const FifoFold& PendingFold() const;
+  void ResetFold();
 
   std::vector<const tape::LocateModel*> models_;
   OnlineServerConfig config_;
@@ -200,6 +214,12 @@ class ServingCore {
   double clock_ = 0.0;
   std::deque<ServingRequest> routed_;
   std::deque<ServingRequest> pending_;
+  /// The estimate of pending_'s first folded_ requests. Admission only
+  /// appends (a shed request never enters pending_), so it holds until
+  /// Dispatch, which removes requests, moves the head and swaps
+  /// cartridges. Const calls extend it: a core only runs on one thread.
+  mutable FifoFold fold_;
+  mutable size_t folded_ = 0;
   double input_bound_ = 0.0;
   bool stream_done_ = false;
 

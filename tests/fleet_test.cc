@@ -1,5 +1,6 @@
 // Fleet layer tests: the catalog's placement invariants, the router's
-// pure-arithmetic decisions, and the determinism pin — a fleet of one
+// pure-arithmetic decisions, the bids a ServingCore prices against a
+// from-scratch FIFO reference, and the determinism pin — a fleet of one
 // library, one cartridge, replication 1 driven through Catalog + Router +
 // ServingCore must reproduce RunOnlineServer field for field, bit for
 // bit, across every serving extension and for any thread count.
@@ -10,13 +11,17 @@
 #include <algorithm>
 #include <limits>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "serpentine/fleet/catalog.h"
 #include "serpentine/fleet/router.h"
+#include "serpentine/sched/estimator.h"
 #include "serpentine/sim/online_server.h"
+#include "serpentine/sim/serving_core.h"
 #include "serpentine/util/check.h"
+#include "serpentine/util/lrand48.h"
 
 namespace serpentine::fleet {
 namespace {
@@ -387,6 +392,110 @@ TEST_F(FleetPinTest, PinnedUnderDegradation) {
   serving.degradation.queue_depth_step = 8;
   serving.seed = 3;
   ExpectPinned(serving);
+}
+
+// ------------------------------------------------- the service estimate
+
+/// The FIFO estimate of `chain` from `cartridge` with the head at `head`,
+/// built from scratch: each same-cartridge run priced by
+/// sched::EstimateScheduleSeconds, and each cartridge change charged the
+/// rewind of the tape it leaves plus the exchange.
+double ChainEstimateSeconds(
+    const std::vector<const tape::LocateModel*>& models, int cartridge,
+    tape::SegmentId head,
+    const std::vector<std::pair<int, tape::SegmentId>>& chain,
+    double exchange_seconds) {
+  double total = 0.0;
+  size_t i = 0;
+  while (i < chain.size()) {
+    if (chain[i].first != cartridge) {
+      total += models[cartridge]->RewindSeconds(head) + exchange_seconds;
+      cartridge = chain[i].first;
+      head = 0;
+    }
+    sched::Schedule plan;
+    plan.algorithm = sched::Algorithm::kFifo;
+    plan.initial_position = head;
+    for (; i < chain.size() && chain[i].first == cartridge; ++i) {
+      plan.order.push_back(sched::Request{chain[i].second, 1});
+    }
+    total += sched::EstimateScheduleSeconds(*models[cartridge], plan);
+    head = sched::OutPosition(models[cartridge]->geometry(),
+                              plan.order.back());
+  }
+  return total;
+}
+
+TEST(ServingCoreEstimateTest, BidsEqualTheFromScratchFifoChain) {
+  for (int cartridges : {1, 2}) {
+    SCOPED_TRACE(std::to_string(cartridges) + " cartridge(s)");
+    UniformFleet uniform(tape::Dlt4000TapeParams(), tape::Dlt4000Timings(),
+                         /*libraries=*/1, cartridges);
+    const std::vector<const tape::LocateModel*>& models =
+        uniform.fleet().models[0];
+    constexpr int kRequests = 40;
+    constexpr double kExchangeSeconds = 45.0;
+    sim::OnlineServerConfig config;
+    config.algorithm = sched::Algorithm::kFifo;
+    config.dispatch_min_batch = kRequests + 1;  // held back until the end
+    sim::ServingCore core(models, config, /*fault_stream=*/1,
+                          kExchangeSeconds);
+    const tape::SegmentId total = models[0]->geometry().total_segments();
+
+    // Every bid, for a probe read on each cartridge, against the
+    // from-scratch chain from cartridge `from_cart` at `from_head`.
+    std::vector<std::pair<int, tape::SegmentId>> queued;
+    auto expect_bids = [&](int from_cart, tape::SegmentId from_head) {
+      for (int c = 0; c < cartridges; ++c) {
+        for (tape::SegmentId probe : {tape::SegmentId{0}, total / 2}) {
+          std::vector<std::pair<int, tape::SegmentId>> chain = queued;
+          chain.emplace_back(c, probe);
+          EXPECT_EQ(core.EstimateServiceSeconds(c, probe),
+                    ChainEstimateSeconds(models, from_cart, from_head, chain,
+                                         kExchangeSeconds))
+              << "after " << queued.size() << " requests, probe (" << c
+              << ", " << probe << ")";
+        }
+      }
+    };
+
+    Lrand48 rng(5);
+    double t = 0.0;
+    for (int i = 0; i < kRequests; ++i) {
+      sim::ServingRequest r;
+      t += 1.0 + rng.NextDouble();
+      r.time = t;
+      r.id = i;
+      r.cartridge = static_cast<int>(rng.NextBounded(cartridges));
+      r.segment = rng.NextBounded(total);
+      core.Push(r);
+      queued.emplace_back(r.cartridge, r.segment);
+      expect_bids(/*from_cart=*/0, /*from_head=*/0);  // r still undelivered
+      while (core.Step() == sim::ServingStep::kRan) {
+      }
+      ASSERT_EQ(core.queue_depth(), i + 1);
+      expect_bids(/*from_cart=*/0, /*from_head=*/0);  // r admitted
+    }
+
+    // One FIFO dispatch of everything queued: cartridge 0's group first,
+    // then cartridge 1's when there are two. The estimate restarts over an
+    // empty queue from the last read's out-position.
+    core.FinishInput();
+    ASSERT_EQ(core.Step(), sim::ServingStep::kRan);
+    ASSERT_EQ(core.result().batches, 1);
+    ASSERT_EQ(core.queue_depth(), 0);
+    const int last_cart = cartridges - 1;
+    tape::SegmentId last_segment = -1;
+    for (const auto& [cart, segment] : queued) {
+      if (cart == last_cart) last_segment = segment;
+    }
+    ASSERT_GE(last_segment, 0);
+    queued.clear();
+    expect_bids(last_cart,
+                sched::OutPosition(models[last_cart]->geometry(),
+                                   sched::Request{last_segment, 1}));
+    EXPECT_EQ(core.Step(), sim::ServingStep::kDone);
+  }
 }
 
 // ------------------------------------------------------- multi-library

@@ -1,7 +1,8 @@
 // Golden trajectories of the multi-library serving drivers: RunFleet with
-// replication and with one replica per segment, RunStress with tenants,
-// cache and coalescing under overload (poisson and bursty arrivals), and
-// the default interleaved migration. Every scalar result field is pinned
+// replication, with one replica per segment, and with capped dispatches
+// over three replicas; RunStress with tenants, cache and coalescing under
+// overload (poisson and bursty arrivals); and the default interleaved
+// migration. Every scalar result field is pinned
 // exactly, to hex-float literals recorded from the drivers, so a refactor
 // of the serving loop that moves any simulated value by one ulp fails
 // here. The other pins compare two entry points with each other; these
@@ -406,6 +407,309 @@ TEST(ServingGoldenTest, FleetOneReplicaPerSegment) {
       .failovers = 0,
       .cartridge_mounts = 0,
       .mount_seconds = 0x0p+0,
+  });
+}
+
+/// Three libraries of two cartridges with every segment on all three, so
+/// each arrival takes three bids, at about twice what the fleet serves.
+/// Dispatches take at most 6 of up to 24 queued requests, so each one
+/// leaves requests behind, and three priority classes under an aging bound
+/// take the sorted, non-prefix removal path. The depth cap and the spread
+/// deadlines shed both ways.
+fleet::FleetConfig CappedReplicatedConfig() {
+  fleet::FleetConfig config;
+  config.serving.total_requests = 600;
+  config.serving.arrival_rate_per_hour = 280.0;
+  config.serving.seed = 29;
+  config.serving.dispatch_max_batch = 6;
+  config.serving.priority_classes = 3;
+  config.serving.max_wait_cycles = 3;
+  config.serving.admission.enabled = true;
+  config.serving.admission.max_queue_depth = 24;
+  config.serving.deadline_seconds = 1800.0;
+  config.serving.deadline_spread = 1.0;
+  config.placement.replication = 3;
+  config.mount_exchange_seconds = 30.0;
+  return config;
+}
+
+TEST(ServingGoldenTest, FleetCappedDispatchThreeReplicas) {
+  fleet::UniformFleet uniform(tape::Dlt4000TapeParams(),
+                              tape::Dlt4000Timings(), /*libraries=*/3,
+                              /*cartridges_per_library=*/2);
+  StatusOr<fleet::FleetResult> result =
+      fleet::RunFleet(uniform.fleet(), CappedReplicatedConfig());
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ExpectFleet(*result, {
+      .total = {
+          .arrivals = 600,
+          .admitted = 414,
+          .completed = 414,
+          .failed = 0,
+          .shed = 186,
+          .deadline_missed = 2,
+          .batches = 62,
+          .mean_batch_size = 0x1.ab5ad6b5ad6b6p+2,
+          .makespan_seconds = 0x1.3561ac2fa410dp+13,
+          .drive_busy_seconds = 0x1.b64c2b5f08bbap+14,
+          .utilization = 0x1.6aac27f00b85dp+1,
+          .mean_response_seconds = 0x1.6b7dab7f9bc63p+10,
+          .p95_response_seconds = 0x1.06884d68c3094p+11,
+          .p99_response_seconds = 0x1.1561428d274b3p+11,
+          .max_response_seconds = 0x1.33449749787fap+11,
+          .throughput_per_hour = 0x1.2d15a51b3aabfp+7,
+          .fault_retries = 0,
+          .drive_resets = 0,
+          .reschedules = 0,
+          .permanent_errors = 0,
+          .recovery_seconds = 0x0p+0,
+          .max_wait_cycles_observed = 2,
+          .degraded_batches = 0,
+          .degradation_max_rung = 0,
+          .breaker_fast_fails = 0,
+          .breaker_wait_seconds = 0x0p+0,
+          .breaker_transitions = 0,
+          .shed_records = 186,
+      },
+      .per_library = {
+          {
+              .arrivals = 177,
+              .admitted = 129,
+              .completed = 129,
+              .failed = 0,
+              .shed = 48,
+              .deadline_missed = 1,
+              .batches = 19,
+              .mean_batch_size = 0x1.b286bca1af287p+2,
+              .makespan_seconds = 0x1.32269294415a5p+13,
+              .drive_busy_seconds = 0x1.24169294415a4p+13,
+              .utilization = 0x1.e87b6f634b9c2p-1,
+              .mean_response_seconds = 0x1.83bf276e3d5b1p+10,
+              .p95_response_seconds = 0x1.07bb8adf4d7bep+11,
+              .p99_response_seconds = 0x1.24a36843e3a7cp+11,
+              .max_response_seconds = 0x1.33449749787fap+11,
+              .throughput_per_hour = 0x1.7b399bdedcc94p+5,
+              .fault_retries = 0,
+              .drive_resets = 0,
+              .reschedules = 0,
+              .permanent_errors = 0,
+              .recovery_seconds = 0x0p+0,
+              .max_wait_cycles_observed = 2,
+              .degraded_batches = 0,
+              .degradation_max_rung = 0,
+              .breaker_fast_fails = 0,
+              .breaker_wait_seconds = 0x0p+0,
+              .breaker_transitions = 0,
+              .shed_records = 48,
+          },
+          {
+              .arrivals = 216,
+              .admitted = 147,
+              .completed = 147,
+              .failed = 0,
+              .shed = 69,
+              .deadline_missed = 0,
+              .batches = 23,
+              .mean_batch_size = 0x1.990b21642c859p+2,
+              .makespan_seconds = 0x1.2f89bd125f74bp+13,
+              .drive_busy_seconds = 0x1.2449bd125f74ap+13,
+              .utilization = 0x1.ed0617732bae4p-1,
+              .mean_response_seconds = 0x1.4d353c49eae44p+10,
+              .p95_response_seconds = 0x1.c6c53453d89bcp+10,
+              .p99_response_seconds = 0x1.ec4bde75682e8p+10,
+              .max_response_seconds = 0x1.08cf63c8ccb6p+11,
+              .throughput_per_hour = 0x1.b3dc1562acb3ep+5,
+              .fault_retries = 0,
+              .drive_resets = 0,
+              .reschedules = 0,
+              .permanent_errors = 0,
+              .recovery_seconds = 0x0p+0,
+              .max_wait_cycles_observed = 2,
+              .degraded_batches = 0,
+              .degradation_max_rung = 0,
+              .breaker_fast_fails = 0,
+              .breaker_wait_seconds = 0x0p+0,
+              .breaker_transitions = 0,
+              .shed_records = 69,
+          },
+          {
+              .arrivals = 207,
+              .admitted = 138,
+              .completed = 138,
+              .failed = 0,
+              .shed = 69,
+              .deadline_missed = 1,
+              .batches = 20,
+              .mean_batch_size = 0x1.b99999999999ap+2,
+              .makespan_seconds = 0x1.3518071770a83p+13,
+              .drive_busy_seconds = 0x1.2438071770a85p+13,
+              .utilization = 0x1.e40c1d869843bp-1,
+              .mean_response_seconds = 0x1.75132e1c83edep+10,
+              .p95_response_seconds = 0x1.0c381ea120ffbp+11,
+              .p99_response_seconds = 0x1.12557d0319796p+11,
+              .max_response_seconds = 0x1.1bbf816b163a2p+11,
+              .throughput_per_hour = 0x1.91d1d7913335ep+5,
+              .fault_retries = 0,
+              .drive_resets = 0,
+              .reschedules = 0,
+              .permanent_errors = 0,
+              .recovery_seconds = 0x0p+0,
+              .max_wait_cycles_observed = 2,
+              .degraded_batches = 0,
+              .degradation_max_rung = 0,
+              .breaker_fast_fails = 0,
+              .breaker_wait_seconds = 0x0p+0,
+              .breaker_transitions = 0,
+              .shed_records = 69,
+          }},
+      .routed_per_library = {177, 216, 207},
+      .placed_per_library = {1243512, 1243512, 1243512},
+      .failovers = 0,
+      .cartridge_mounts = 45,
+      .mount_seconds = 0x1.125484e605faep+12,
+  });
+}
+
+TEST(ServingGoldenTest, FleetCappedDispatchThreeReplicasUnderFaults) {
+  fleet::UniformFleet uniform(tape::Dlt4000TapeParams(),
+                              tape::Dlt4000Timings(), /*libraries=*/3,
+                              /*cartridges_per_library=*/2);
+  fleet::FleetConfig config = CappedReplicatedConfig();
+  config.serving.faults = drive::FaultProfile::Light().Scaled(3.0);
+  config.serving.breaker_enabled = true;
+  config.serving.breaker.window_ops = 4;
+  config.serving.breaker.failure_threshold = 1;
+  config.serving.breaker.cooldown_seconds = 60.0;
+  config.serving.breaker.half_open_successes = 1;
+  StatusOr<fleet::FleetResult> result = fleet::RunFleet(uniform.fleet(), config);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ExpectFleet(*result, {
+      .total = {
+          .arrivals = 600,
+          .admitted = 392,
+          .completed = 392,
+          .failed = 0,
+          .shed = 208,
+          .deadline_missed = 6,
+          .batches = 58,
+          .mean_batch_size = 0x1.b08d3dcb08d3ep+2,
+          .makespan_seconds = 0x1.336cd59ccd073p+13,
+          .drive_busy_seconds = 0x1.b443ff21bf35ap+14,
+          .utilization = 0x1.6b49d70292fe7p+1,
+          .mean_response_seconds = 0x1.84f2fe3658e33p+10,
+          .p95_response_seconds = 0x1.149ffc2e2d37ep+11,
+          .p99_response_seconds = 0x1.3c8e78a7a8716p+11,
+          .max_response_seconds = 0x1.67ef64cbfa9f7p+11,
+          .throughput_per_hour = 0x1.1ee62c9cb80f6p+7,
+          .fault_retries = 22,
+          .drive_resets = 0,
+          .reschedules = 5,
+          .permanent_errors = 0,
+          .recovery_seconds = 0x1.ac3adff05ec99p+10,
+          .max_wait_cycles_observed = 2,
+          .degraded_batches = 0,
+          .degradation_max_rung = 0,
+          .breaker_fast_fails = 22,
+          .breaker_wait_seconds = 0x1.4ap+10,
+          .breaker_transitions = 66,
+          .shed_records = 208,
+      },
+      .per_library = {
+          {
+              .arrivals = 224,
+              .admitted = 130,
+              .completed = 130,
+              .failed = 0,
+              .shed = 94,
+              .deadline_missed = 1,
+              .batches = 19,
+              .mean_batch_size = 0x1.b5e50d79435e5p+2,
+              .makespan_seconds = 0x1.3307ad61de993p+13,
+              .drive_busy_seconds = 0x1.26d7ad61de994p+13,
+              .utilization = 0x1.ebad1ee11764ap-1,
+              .mean_response_seconds = 0x1.886de4ef7de4dp+10,
+              .p95_response_seconds = 0x1.145b8b17a8f7cp+11,
+              .p99_response_seconds = 0x1.287b6e76360c6p+11,
+              .max_response_seconds = 0x1.30d085435690ap+11,
+              .throughput_per_hour = 0x1.7d11fd038962bp+5,
+              .fault_retries = 8,
+              .drive_resets = 0,
+              .reschedules = 2,
+              .permanent_errors = 0,
+              .recovery_seconds = 0x1.452862540c159p+9,
+              .max_wait_cycles_observed = 2,
+              .degraded_batches = 0,
+              .degradation_max_rung = 0,
+              .breaker_fast_fails = 8,
+              .breaker_wait_seconds = 0x1.ep+8,
+              .breaker_transitions = 24,
+              .shed_records = 94,
+          },
+          {
+              .arrivals = 169,
+              .admitted = 127,
+              .completed = 127,
+              .failed = 0,
+              .shed = 42,
+              .deadline_missed = 4,
+              .batches = 19,
+              .mean_batch_size = 0x1.abca1af286bcap+2,
+              .makespan_seconds = 0x1.2b438c76b51ap+13,
+              .drive_busy_seconds = 0x1.1f138c76b51a1p+13,
+              .utilization = 0x1.eb261a1643b86p-1,
+              .mean_response_seconds = 0x1.8db9413f1edbcp+10,
+              .p95_response_seconds = 0x1.2ff5ae85eeed8p+11,
+              .p99_response_seconds = 0x1.577d0d8f6137ap+11,
+              .max_response_seconds = 0x1.67ef64cbfa9f7p+11,
+              .throughput_per_hour = 0x1.7defec00ca03dp+5,
+              .fault_retries = 9,
+              .drive_resets = 0,
+              .reschedules = 3,
+              .permanent_errors = 0,
+              .recovery_seconds = 0x1.76ffb843633f4p+9,
+              .max_wait_cycles_observed = 2,
+              .degraded_batches = 0,
+              .degradation_max_rung = 0,
+              .breaker_fast_fails = 9,
+              .breaker_wait_seconds = 0x1.0ep+9,
+              .breaker_transitions = 27,
+              .shed_records = 42,
+          },
+          {
+              .arrivals = 207,
+              .admitted = 135,
+              .completed = 135,
+              .failed = 0,
+              .shed = 72,
+              .deadline_missed = 1,
+              .batches = 20,
+              .mean_batch_size = 0x1.bp+2,
+              .makespan_seconds = 0x1.30acc46aeab7ep+13,
+              .drive_busy_seconds = 0x1.229cc46aeab7fp+13,
+              .utilization = 0x1.e85e45b84b4f7p-1,
+              .mean_response_seconds = 0x1.7957f02493aa8p+10,
+              .p95_response_seconds = 0x1.061658327615ap+11,
+              .p99_response_seconds = 0x1.16e09610538p+11,
+              .max_response_seconds = 0x1.388b0be265b1fp+11,
+              .throughput_per_hour = 0x1.8ec9277a0924dp+5,
+              .fault_retries = 5,
+              .drive_resets = 0,
+              .reschedules = 0,
+              .permanent_errors = 0,
+              .recovery_seconds = 0x1.389b4a929c7ccp+8,
+              .max_wait_cycles_observed = 2,
+              .degraded_batches = 0,
+              .degradation_max_rung = 0,
+              .breaker_fast_fails = 5,
+              .breaker_wait_seconds = 0x1.2cp+8,
+              .breaker_transitions = 15,
+              .shed_records = 72,
+          }},
+      .routed_per_library = {224, 169, 207},
+      .placed_per_library = {1243512, 1243512, 1243512},
+      .failovers = 0,
+      .cartridge_mounts = 41,
+      .mount_seconds = 0x1.ead95bcd07df2p+11,
   });
 }
 

@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <limits>
+#include <string>
+#include <vector>
 
+#include "serpentine/obs/trace.h"
 #include "serpentine/sim/queue_sim.h"
 
 namespace serpentine::sim {
@@ -293,6 +297,70 @@ TEST_F(OnlineServerTest, BreakerCycleExercisedDeterministically) {
   }
   EXPECT_EQ(a->completed, b->completed);
   EXPECT_EQ(a->breaker_wait_seconds, b->breaker_wait_seconds);
+}
+
+TEST_F(OnlineServerTest, DepthCounterKeepsTheLeftoverOfACappedDispatch) {
+  OnlineServerConfig config;
+  config.total_requests = 60;
+  config.arrival_rate_per_hour = 300.0;  // ~3x saturation: a queue builds
+  config.dispatch_max_batch = 4;
+  obs::TraceRecorder recorder;
+  obs::TraceRecorder::SetActive(&recorder);
+  StatusOr<OnlineServerResult> r = RunOnlineServer(model_, config);
+  obs::TraceRecorder::SetActive(nullptr);
+  ASSERT_TRUE(r.ok());
+
+  // The counter samples and batch spans, in export order. A dispatch
+  // records the depth it leaves, then its "batch" span, both at the
+  // dispatch instant; each admission records the depth it leaves.
+  struct Event {
+    char ph;
+    std::string name;
+    long long ts;
+    double value;  // the counter value, or the batch size
+  };
+  std::vector<Event> events;
+  const std::string json = recorder.ToJson();
+  auto field = [&](size_t from, size_t to, const std::string& key) {
+    size_t at = json.find(key, from);
+    return at < to ? at + key.size() : std::string::npos;
+  };
+  const std::string kOpen = "{\"ph\":\"";
+  for (size_t at = json.find(kOpen); at != std::string::npos;) {
+    size_t next = json.find(kOpen, at + 1);
+    size_t end = next == std::string::npos ? json.size() : next;
+    size_t name = field(at, end, "\"name\":\"");
+    size_t ts = field(at, end, "\"ts\":");
+    size_t value = field(at, end, "\"value\":");
+    if (value == std::string::npos) value = field(at, end, "\"size\":");
+    if (name != std::string::npos && ts != std::string::npos &&
+        value != std::string::npos) {
+      events.push_back(Event{json[at + kOpen.size()],
+                             json.substr(name, json.find('"', name) - name),
+                             std::atoll(json.c_str() + ts),
+                             std::atof(json.c_str() + value)});
+    }
+    at = next;
+  }
+
+  int64_t batches = 0;
+  int64_t capped_with_leftover = 0;
+  double depth = 0.0;
+  for (size_t i = 0; i < events.size(); ++i) {
+    if (events[i].ph != 'C' || events[i].name != "online.depth") continue;
+    bool dispatch = i + 1 < events.size() && events[i + 1].ph == 'X' &&
+                    events[i + 1].name == "batch" &&
+                    events[i + 1].ts == events[i].ts;
+    if (dispatch) {
+      ++batches;
+      EXPECT_EQ(events[i].value, depth - events[i + 1].value)
+          << "dispatch " << batches << " at " << events[i].ts << " us";
+      if (events[i].value > 0.0) ++capped_with_leftover;
+    }
+    depth = events[i].value;
+  }
+  EXPECT_EQ(batches, r->batches);
+  EXPECT_GT(capped_with_leftover, 0);
 }
 
 TEST_F(OnlineServerTest, ValidateRejectsGarbageConfigs) {

@@ -180,10 +180,12 @@ for config in $CONFIGS; do
     echo "== placement smoke: OK =="
 
     # serpbench smoke: the end-to-end benchmark is a CMake package of its
-    # own (serpbench/ compiles the library from src/), so the main build
-    # never compiles it. Build it and run its smoke test (every workload at
-    # 1/50 size plus a traced run, replica == entry point included), so a
-    # fleet/sim API change breaks here rather than at benchmark time.
+    # own (serpbench/ compiles the library from src/), and that package is
+    # what serpbench/run.py builds. The main build above already compiles
+    # serpbench's sources and runs the same smoke as serpbench_smoke; this
+    # step builds the package itself and runs its smoke test (every
+    # workload at 1/50 size plus a traced run, replica == entry point
+    # included), so a break in the package's own build shows here too.
     serpbench_dir="$build_dir-serpbench"
     echo "== serpbench smoke: serpbench_smoke ($serpbench_dir) =="
     cmake -B "$serpbench_dir" -S serpbench -DCMAKE_BUILD_TYPE=RelWithDebInfo
