@@ -13,6 +13,8 @@
 //     --oropt-n=N  batch size of the sweep-vs-incremental Or-opt
 //                  comparison (default 10000; 0 disables)
 //
+//   A value that is not one whole non-negative integer exits 2.
+//
 // Machine-readable records append to SERPENTINE_BENCH_JSON (figure
 // "sched_scale"; run_benches.sh points it at BENCH_sched_cpu.json):
 // per-algorithm build times at each N, the two Or-opt times, and an
@@ -23,6 +25,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -30,6 +33,7 @@
 #include "serpentine/sched/estimator.h"
 #include "serpentine/sched/local_search.h"
 #include "serpentine/util/lrand48.h"
+#include "serpentine/util/parse.h"
 
 using namespace serpentine;
 
@@ -46,14 +50,27 @@ int main(int argc, char** argv) {
   int max_n = 100000;
   int oropt_n = 10000;
   for (int i = 1; i < argc; ++i) {
+    int* target = nullptr;
+    const char* value = nullptr;
     if (std::strncmp(argv[i], "--max-n=", 8) == 0) {
-      max_n = std::atoi(argv[i] + 8);
+      target = &max_n;
+      value = argv[i] + 8;
     } else if (std::strncmp(argv[i], "--oropt-n=", 10) == 0) {
-      oropt_n = std::atoi(argv[i] + 10);
+      target = &oropt_n;
+      value = argv[i] + 10;
     } else {
       std::fprintf(stderr, "usage: %s [--max-n=N] [--oropt-n=N]\n", argv[0]);
       return 2;
     }
+    int64_t n = 0;
+    if (!ParseInt64(value, 0, std::numeric_limits<int>::max(), &n)) {
+      std::fprintf(stderr,
+                   "sched_scale: %.*s expects a non-negative integer, got "
+                   "'%s'\n",
+                   static_cast<int>(value - argv[i] - 1), argv[i], value);
+      return 2;
+    }
+    *target = static_cast<int>(n);
   }
 
   bench::PrintHeader("sched_scale",

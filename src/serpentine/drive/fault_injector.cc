@@ -2,11 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <string>
 
 #include "serpentine/util/check.h"
+#include "serpentine/util/parse.h"
 #include "serpentine/util/status.h"
 
 namespace serpentine::drive {
@@ -144,9 +145,9 @@ serpentine::StatusOr<FaultProfile> LoadFaultProfile(const std::string& spec) {
     std::string key = line.substr(0, eq);
     key.erase(key.find_last_not_of(" \t") + 1);
     std::string value_text = line.substr(eq + 1);
-    char* end = nullptr;
-    double value = std::strtod(value_text.c_str(), &end);
-    if (end == value_text.c_str()) {
+    value_text.erase(0, value_text.find_first_not_of(" \t"));
+    double value = 0.0;
+    if (!ParseFiniteDouble(value_text, &value)) {
       return InvalidArgumentError(spec + ":" + std::to_string(lineno) +
                                   ": bad number '" + value_text + "'");
     }
@@ -169,7 +170,14 @@ serpentine::StatusOr<FaultProfile> LoadFaultProfile(const std::string& spec) {
     } else if (key == "mount_retry_seconds") {
       p.mount_retry_seconds = value;
     } else if (key == "seed") {
-      p.seed = static_cast<int32_t>(value);
+      int64_t seed = 0;
+      if (!ParseInt64(value_text, std::numeric_limits<int32_t>::min(),
+                      std::numeric_limits<int32_t>::max(), &seed)) {
+        return InvalidArgumentError(spec + ":" + std::to_string(lineno) +
+                                    ": seed must be a 32-bit integer, got '" +
+                                    value_text + "'");
+      }
+      p.seed = static_cast<int32_t>(seed);
     } else {
       return InvalidArgumentError(spec + ":" + std::to_string(lineno) +
                                   ": unknown fault profile key '" + key +

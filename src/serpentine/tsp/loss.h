@@ -13,15 +13,25 @@
 namespace serpentine::tsp {
 
 /// Builds a Hamiltonian path over all cities starting at city 0 using the
-/// LOSS rule. O(n²) typical (the per-iteration work is revalidating
-/// cached best/second-best edges, rescanning a row only when one of its
-/// cached endpoints was consumed).
+/// LOSS rule. Every edge is priced once to seed each row's and column's
+/// two cheapest edges. After that, a commit rescans, in O(n) each, only the
+/// caches that held an edge the commit made unavailable (typically a
+/// handful), and picks the next edge in O(log n). O(n²) time in all, with
+/// O(n) extra memory.
 std::vector<int> SolveLossPath(const CostMatrix& m);
 
 /// Statistics from a SolveLossPathWithStats run, for the ablation benches.
 struct LossStats {
-  int iterations = 0;
-  int row_rescans = 0;  ///< full O(n) rescans of a city's edge cache
+  int iterations = 0;  ///< committed edges: n-1
+  /// Stale caches met, summed over iterations: each open row or column
+  /// whose two cached edges no longer both hold at the start of an
+  /// iteration, because an endpoint was consumed or it has no edge left.
+  /// The first iteration counts all 2n-1. This is the number of O(n)
+  /// rescans a solver that revalidates every cache on every iteration
+  /// makes. The event-driven solver rescans the same caches, except that
+  /// a cache with no edge left is rescanned once rather than on every
+  /// iteration.
+  int row_rescans = 0;
 };
 
 /// As SolveLossPath, also reporting work counters.

@@ -128,6 +128,24 @@ TEST(FaultProfileTest, RejectsUnknownKeysAndMissingFiles) {
   EXPECT_FALSE(LoadFaultProfile("/no/such/file").ok());
 }
 
+TEST(FaultProfileTest, RejectsNumbersWithTrailingText) {
+  // strtod-style parsing would read "0.01abc" as 0.01 and "7.5" as seed 7.
+  for (const char* line : {"transient_read_rate = 0.01abc\n",
+                           "reset_seconds = abc\n", "seed = 7.5\n",
+                           "seed = 99999999999\n"}) {
+    std::string path = testing::TempDir() + "/trailing_profile.conf";
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    std::fputs(line, f);
+    std::fclose(f);
+    auto profile = LoadFaultProfile(path);
+    ASSERT_FALSE(profile.ok()) << line;
+    EXPECT_EQ(profile.status().code(), StatusCode::kInvalidArgument) << line;
+    EXPECT_NE(profile.status().message().find(":1:"), std::string::npos)
+        << profile.status().ToString();
+  }
+}
+
 // ---------------------------------------------------------------------------
 // FaultInjector determinism.
 // ---------------------------------------------------------------------------

@@ -1,0 +1,178 @@
+// The event-driven LOSS solver (serpentine/tsp/loss_solver.h) against the
+// scan solver it replaced (loss_scan_reference.h): both must build the same
+// path with the same iteration and rescan counts. The instances lean on the
+// tie-breaks, which is where an event-driven solver can drift from a scan:
+// dense matrices with 2, 5 and 990 distinct costs, rows forced onto a single
+// finite edge, and DLT4000 locate costs over uniform, clustered and
+// duplicate-segment draws, with a random, beginning-of-tape or pinned start.
+#include <algorithm>
+#include <string>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "loss_scan_reference.h"
+#include "serpentine/tape/locate_model.h"
+#include "serpentine/tsp/cost_matrix.h"
+#include "serpentine/tsp/locate_cost.h"
+#include "serpentine/tsp/loss.h"
+#include "serpentine/tsp/loss_solver.h"
+#include "serpentine/util/lrand48.h"
+
+namespace serpentine::tsp {
+namespace {
+
+using tape::SegmentId;
+
+template <typename Costs>
+void ExpectSameAsScan(const Costs& costs, const std::string& label) {
+  LossStats got_stats;
+  LossStats want_stats;
+  std::vector<int> got = SolveLossPathOver(costs, &got_stats);
+  std::vector<int> want = reference::SolveLossPathOver(costs, &want_stats);
+  EXPECT_EQ(got, want) << label;
+  EXPECT_EQ(got_stats.iterations, want_stats.iterations) << label;
+  EXPECT_EQ(got_stats.row_rescans, want_stats.row_rescans) << label;
+}
+
+/// Random costs drawn from `distinct` values 1..distinct: few values mean
+/// many equal losses and equal best edges.
+CostMatrix TiedInstance(int n, int distinct, int32_t seed) {
+  Lrand48 rng(seed);
+  return CostMatrix::Build(n, [&](int, int) {
+    return 1.0 + static_cast<double>(rng.NextBounded(distinct));
+  });
+}
+
+TEST(LossEquivalenceTest, TieHeavyDenseMatrices) {
+  for (int distinct : {2, 5, 990}) {
+    for (int n : {1, 2, 3, 5, 17, 64, 200, 333}) {
+      const int seeds = n <= 64 ? 6 : 2;
+      for (int32_t seed = 1; seed <= seeds; ++seed) {
+        ExpectSameAsScan(TiedInstance(n, distinct, 100 * n + seed),
+                         "distinct=" + std::to_string(distinct) +
+                             " n=" + std::to_string(n) +
+                             " seed=" + std::to_string(seed));
+      }
+    }
+  }
+}
+
+TEST(LossEquivalenceTest, RowsForcedOntoOneFiniteEdge) {
+  // About a third of the rows, drawn at random, keep only their edge to the
+  // next city: their loss is +inf from the start, so they tie on loss.
+  for (int n : {3, 5, 17, 64, 200}) {
+    for (int32_t seed = 1; seed <= 3; ++seed) {
+      CostMatrix m = TiedInstance(n, 5, 7 * n + seed);
+      Lrand48 rng(seed);
+      for (int x = 0; x + 1 < n; ++x) {
+        if (rng.NextBounded(3) != 0) continue;
+        for (int y = 1; y < n; ++y) {
+          if (y != x + 1) m.set(x, y, kInfiniteCost);
+        }
+      }
+      ExpectSameAsScan(m, "n=" + std::to_string(n) +
+                              " seed=" + std::to_string(seed));
+    }
+  }
+}
+
+class LossEquivalenceDltTest : public ::testing::Test {
+ protected:
+  LossEquivalenceDltTest()
+      : model_(tape::TapeGeometry::Generate(tape::Dlt4000TapeParams(), 1),
+               tape::Dlt4000Timings()),
+        total_(model_.geometry().total_segments()) {}
+
+  /// The scheduler's city layout: city 0 at `start`, then one city per
+  /// request in segment order, entered at its segment and left one past it.
+  LocateCostSoA Cities(SegmentId start,
+                       std::vector<SegmentId> segments) const {
+    std::sort(segments.begin(), segments.end());
+    std::vector<SegmentId> out = {start};
+    std::vector<SegmentId> in = {start};
+    for (SegmentId s : segments) {
+      in.push_back(s);
+      out.push_back(std::min<SegmentId>(s + 1, total_ - 1));
+    }
+    return LocateCostSoA(model_, std::move(out), std::move(in));
+  }
+
+  std::vector<SegmentId> Uniform(Lrand48& rng, int count) const {
+    std::vector<SegmentId> segments;
+    for (int i = 0; i < count; ++i) {
+      segments.push_back(rng.NextBounded(total_));
+    }
+    return segments;
+  }
+
+  tape::Dlt4000LocateModel model_;
+  SegmentId total_;
+};
+
+TEST_F(LossEquivalenceDltTest, UniformDrawsFromARandomStartAndFromBot) {
+  for (int requests : {1, 2, 16, 63, 332, 1024, 2048}) {
+    Lrand48 rng(requests);
+    const SegmentId start = rng.NextBounded(total_);
+    std::vector<SegmentId> segments = Uniform(rng, requests);
+    ExpectSameAsScan(Cities(start, segments),
+                     "random start, requests=" + std::to_string(requests));
+    if (requests <= 1024) {
+      ExpectSameAsScan(Cities(0, segments),
+                       "BOT start, requests=" + std::to_string(requests));
+    }
+  }
+}
+
+TEST_F(LossEquivalenceDltTest, ClusteredDraws) {
+  // A few narrow bands of tape: most edges stay in one track's read-speed
+  // window, so many locate times coincide.
+  for (int requests : {16, 200, 1024}) {
+    Lrand48 rng(31 * requests);
+    std::vector<SegmentId> centres = Uniform(rng, 4);
+    std::vector<SegmentId> segments;
+    for (int i = 0; i < requests; ++i) {
+      const SegmentId centre = centres[rng.NextBounded(4)];
+      segments.push_back(
+          std::min<SegmentId>(centre + rng.NextBounded(400), total_ - 1));
+    }
+    ExpectSameAsScan(Cities(rng.NextBounded(total_), segments),
+                     "requests=" + std::to_string(requests));
+  }
+}
+
+TEST_F(LossEquivalenceDltTest, DuplicateSegments) {
+  // Requests drawn from a pool of 12 segments: zero-cost edges between
+  // duplicates and whole rows of equal costs.
+  for (int requests : {5, 64, 500}) {
+    Lrand48 rng(requests + 9);
+    std::vector<SegmentId> pool = Uniform(rng, 12);
+    std::vector<SegmentId> segments;
+    for (int i = 0; i < requests; ++i) {
+      segments.push_back(pool[rng.NextBounded(12)]);
+    }
+    ExpectSameAsScan(Cities(pool[0], segments),
+                     "requests=" + std::to_string(requests));
+  }
+}
+
+TEST_F(LossEquivalenceDltTest, PinnedStartFragments) {
+  // loss-mt solves each fragment with city 0 pinned to the fragment's first
+  // request, which has real in/out endpoints of its own.
+  for (int cities : {2, 9, 257, 1024}) {
+    Lrand48 rng(5 * cities);
+    std::vector<SegmentId> segments = Uniform(rng, cities);
+    std::sort(segments.begin(), segments.end());
+    std::vector<SegmentId> out;
+    std::vector<SegmentId> in;
+    for (SegmentId s : segments) {
+      in.push_back(s);
+      out.push_back(std::min<SegmentId>(s + 1, total_ - 1));
+    }
+    ExpectSameAsScan(LocateCostSoA(model_, std::move(out), std::move(in)),
+                     "cities=" + std::to_string(cities));
+  }
+}
+
+}  // namespace
+}  // namespace serpentine::tsp

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "loss_scan_reference.h"
 #include "serpentine/tsp/cost_matrix.h"
 #include "serpentine/tsp/exact.h"
 #include "serpentine/tsp/loss.h"
@@ -138,7 +139,9 @@ TEST(LossTest, StatsCountIterations) {
   LossStats stats;
   SolveLossPathWithStats(m, &stats);
   EXPECT_EQ(stats.iterations, 19);
-  EXPECT_GT(stats.row_rescans, 0);
+  LossStats scan;
+  reference::SolveLossPathOver(m, &scan);
+  EXPECT_EQ(stats.row_rescans, scan.row_rescans);
 }
 
 TEST(SparseLossTest, DegeneratesToSingleCity) {

@@ -11,7 +11,8 @@
 # The thread-sanitizer pass is the one that vets the parallel experiment
 # engine (ParallelFor / ShardCount); the address pass catches lifetime
 # bugs in the fault-injection and recovery paths, which exercise
-# rescheduling mid-batch.
+# rescheduling mid-batch, and also runs a 3000-request sched_scale sweep
+# so the LOSS solver's array indexing is checked at scale.
 #
 # When clang-tidy is on PATH, a lint pass (modernize + bugprone) runs
 # first over the drive and scheduler layers; it is skipped silently-ish
@@ -99,6 +100,15 @@ for config in $CONFIGS; do
   echo "== $config: test =="
   (cd "$build_dir" && ctest --output-on-failure -j "$JOBS")
   echo "== $config: OK =="
+
+  # The LOSS solver's tournament-tree and watcher-list indexing under ASan
+  # at sizes beyond the unit tests: dense LOSS at 1000 and 3000 cities,
+  # loss-mt fragments and their merge, and sparse LOSS's contraction.
+  if [ "$config" = "address" ]; then
+    echo "== address: sched_scale --max-n=3000 --oropt-n=0 ($build_dir) =="
+    "$build_dir/bench/sched_scale" --max-n=3000 --oropt-n=0
+    echo "== address: sched_scale OK =="
+  fi
 
   # Perf smoke, on the unsanitized release build only: one 10k-request
   # construction sweep (sched_scale exits nonzero on crash, NaN estimates,

@@ -68,13 +68,19 @@
 //                      tail-anchored PlacementOptimizer (layout/), and
 //                      compare the schedule estimate under the proposed
 //                      layout against the current one (docs/placement.md)
+//
+// Every number (flag values, segment arguments, --stdin lines) must be one
+// whole number in range: "12abc" exits 2 naming the flag or line, rather
+// than scheduling 12 requests.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iostream>
 #include <limits>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "serpentine/drive/fault_drive.h"
@@ -97,6 +103,7 @@
 #include "serpentine/tape/locate_cache.h"
 #include "serpentine/tape/locate_model.h"
 #include "serpentine/util/lrand48.h"
+#include "serpentine/util/parse.h"
 #include "serpentine/workload/trace_io.h"
 
 using namespace serpentine;
@@ -148,6 +155,45 @@ int Usage(const char* argv0) {
   return 2;
 }
 
+/// Exits 2 with a message naming the flag, argument or line whose value
+/// `text` is not the number it should be.
+[[noreturn]] void BadValue(const char* what, const char* expected,
+                           std::string_view text) {
+  std::fprintf(stderr, "serpsched: %s expects %s, got '%.*s'\n", what,
+               expected, static_cast<int>(text.size()), text.data());
+  std::exit(2);
+}
+
+int32_t SeedValue(const char* what, std::string_view text) {
+  int64_t value = 0;
+  if (!ParseInt64(text, std::numeric_limits<int32_t>::min(),
+                  std::numeric_limits<int32_t>::max(), &value)) {
+    BadValue(what, "a 32-bit integer", text);
+  }
+  return static_cast<int32_t>(value);
+}
+
+/// A count or position: one whole integer >= `min` (0 or 1).
+int64_t CountValue(const char* what, std::string_view text,
+                   int64_t min = 0) {
+  int64_t value = 0;
+  if (!ParseInt64(text, min, std::numeric_limits<int64_t>::max(), &value)) {
+    BadValue(what,
+             min == 0 ? "a non-negative integer" : "a positive integer",
+             text);
+  }
+  return value;
+}
+
+/// A rate or fraction: one whole finite number >= 0.
+double NonNegativeValue(const char* what, std::string_view text) {
+  double value = 0.0;
+  if (!ParseFiniteDouble(text, &value) || value < 0.0) {
+    BadValue(what, "a finite number >= 0", text);
+  }
+  return value;
+}
+
 bool ParseFlag(const char* arg, const char* name, const char** value) {
   size_t len = std::strlen(name);
   if (std::strncmp(arg, name, len) != 0) return false;
@@ -173,13 +219,13 @@ int main(int argc, char** argv) {
     } else if (ParseFlag(argv[i], "--drive", &v) && v) {
       args.drive = v;
     } else if (ParseFlag(argv[i], "--tape-seed", &v) && v) {
-      args.tape_seed = std::atoi(v);
+      args.tape_seed = SeedValue("--tape-seed", v);
     } else if (ParseFlag(argv[i], "--seed", &v) && v) {
-      args.seed = std::atoi(v);
+      args.seed = SeedValue("--seed", v);
     } else if (ParseFlag(argv[i], "--initial", &v) && v) {
-      args.initial = std::atoll(v);
+      args.initial = CountValue("--initial", v);
     } else if (ParseFlag(argv[i], "--random", &v) && v) {
-      args.random_n = std::atoll(v);
+      args.random_n = CountValue("--random", v);
     } else if (ParseFlag(argv[i], "--stdin", &v) && !v) {
       args.from_stdin = true;
     } else if (ParseFlag(argv[i], "--workload", &v) && v) {
@@ -187,26 +233,26 @@ int main(int argc, char** argv) {
     } else if (ParseFlag(argv[i], "--fault-profile", &v) && v) {
       args.fault_profile = v;
     } else if (ParseFlag(argv[i], "--fault-seed", &v) && v) {
-      args.fault_seed = std::atoi(v);
+      args.fault_seed = SeedValue("--fault-seed", v);
     } else if (ParseFlag(argv[i], "--trace", &v) && v) {
       args.trace_out = v;
     } else if (ParseFlag(argv[i], "--metrics-json", &v) && v) {
       args.metrics_out = v;
     } else if (ParseFlag(argv[i], "--pipeline", &v) && v) {
-      args.pipeline_batches = std::atoll(v);
+      args.pipeline_batches = CountValue("--pipeline", v);
     } else if (ParseFlag(argv[i], "--online-rate", &v) && v) {
-      args.online_rate = std::atof(v);
+      args.online_rate = NonNegativeValue("--online-rate", v);
     } else if (ParseFlag(argv[i], "--deadline-frac", &v) && v) {
-      args.deadline_frac = std::atof(v);
+      args.deadline_frac = NonNegativeValue("--deadline-frac", v);
     } else if (ParseFlag(argv[i], "--admission", &v)) {
       args.admission = true;
-      if (v != nullptr) args.admission_depth = std::atoll(v);
+      if (v != nullptr) args.admission_depth = CountValue("--admission", v);
     } else if (ParseFlag(argv[i], "--breaker", &v) && !v) {
       args.breaker = true;
     } else if (ParseFlag(argv[i], "--fleet", &v) && v) {
-      args.fleet_libraries = std::atoll(v);
+      args.fleet_libraries = CountValue("--fleet", v);
     } else if (ParseFlag(argv[i], "--replicas", &v) && v) {
-      args.fleet_replicas = std::atoll(v);
+      args.fleet_replicas = CountValue("--replicas", v, 1);
     } else if (ParseFlag(argv[i], "--placement", &v) && v) {
       args.placement = v;
     } else if (ParseFlag(argv[i], "--optimize-layout", &v) && !v) {
@@ -222,7 +268,7 @@ int main(int argc, char** argv) {
     } else if (argv[i][0] == '-') {
       return Usage(argv[0]);
     } else {
-      args.segments.push_back(std::atoll(argv[i]));
+      args.segments.push_back(CountValue("segment argument", argv[i]));
     }
   }
 
@@ -253,10 +299,17 @@ int main(int argc, char** argv) {
   const tape::TapeGeometry& g = model.geometry();
 
   if (args.from_stdin) {
-    char line[64];
-    while (std::fgets(line, sizeof(line), stdin) != nullptr) {
-      if (line[0] == '\n' || line[0] == '#') continue;
-      args.segments.push_back(std::atoll(line));
+    std::string line;
+    int lineno = 0;
+    while (std::getline(std::cin, line)) {
+      ++lineno;
+      const size_t first = line.find_first_not_of(" \t\r");
+      if (first == std::string::npos || line[first] == '#') continue;
+      const size_t last = line.find_last_not_of(" \t\r");
+      const std::string what = "stdin line " + std::to_string(lineno);
+      args.segments.push_back(CountValue(
+          what.c_str(),
+          std::string_view(line).substr(first, last - first + 1)));
     }
   }
   if (args.random_n > 0) {
