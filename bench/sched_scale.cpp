@@ -4,7 +4,11 @@
 // carries the scalable builders to the 100k-request regime the SoA cost
 // core, partitioned LOSS, and incremental Or-opt target, and times the
 // incremental Or-opt against the reference full sweep on the same
-// schedule (verifying bit-identical results while it is at it).
+// schedule (verifying bit-identical results while it is at it). It starts
+// at serving sizes: 30 and 64 requests (a knee batch and the serving cap)
+// and 130, just past tsp::kDenseLossMaxCities, where LOSS leaves its dense
+// matrix for lazy pricing. Those builds take microseconds, so each is
+// repeated and the fastest kept.
 //
 //   sched_scale [--max-n=N] [--oropt-n=N]
 //
@@ -17,11 +21,13 @@
 //
 // Machine-readable records append to SERPENTINE_BENCH_JSON (figure
 // "sched_scale"; run_benches.sh points it at BENCH_sched_cpu.json):
-// per-algorithm build times at each N, the two Or-opt times, and an
+// per-algorithm build times at each N (trials = repetitions, fastest
+// kept), the two Or-opt times, and an
 // "oropt-speedup-x" record whose wall_seconds field is the
 // sweep/incremental ratio. Exits nonzero on any scheduling failure,
 // non-finite estimate, dropped request, or sweep/incremental divergence —
 // which is what lets ci.sh use a 10k run as its perf smoke.
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstring>
@@ -74,7 +80,7 @@ int main(int argc, char** argv) {
   }
 
   bench::PrintHeader("sched_scale",
-                     "Schedule-construction wall-clock, 1k..100k requests "
+                     "Schedule-construction wall-clock, 30..100k requests "
                      "(beyond Fig 6's 2048), plus incremental-vs-sweep "
                      "Or-opt at one batch size.");
   tape::Dlt4000LocateModel model = bench::MakeTapeAModel();
@@ -95,14 +101,19 @@ int main(int argc, char** argv) {
       {"loss-mt", 1 << 30},    {"loss-mt-oropt", 1 << 30},
   };
 
+  // Serving-sized builds are repeated this often; one build per point
+  // from 1000 requests up.
+  constexpr int kSmallBatchReps = 200;
+
   Table table;
   table.SetHeader({"N", "algorithm", "build_s", "estimate_s"});
-  for (int n : {1000, 3000, 10000, 30000, 100000}) {
+  for (int n : {30, 64, 130, 1000, 3000, 10000, 30000, 100000}) {
     if (n > max_n) continue;
     Lrand48 rng(42 + n);
     tape::SegmentId initial = rng.NextBounded(total);
     std::vector<sched::Request> batch =
         sim::GenerateUniformRequests(rng, n, total);
+    const int reps = n < 1000 ? kSmallBatchReps : 1;
     for (const Algo& algo : algos) {
       if (n > algo.cap) continue;
       const sched::RegistryEntry* entry = registry.Find(algo.name);
@@ -110,6 +121,11 @@ int main(int argc, char** argv) {
       auto begin = std::chrono::steady_clock::now();
       auto schedule = entry->build(model, initial, batch, entry->options);
       double wall = bench::SecondsSince(begin);
+      for (int rep = 1; rep < reps; ++rep) {
+        begin = std::chrono::steady_clock::now();
+        auto again = entry->build(model, initial, batch, entry->options);
+        wall = std::min(wall, bench::SecondsSince(begin));
+      }
       if (!schedule.ok()) {
         return Fail("build failed", schedule.status().ToString());
       }
@@ -120,8 +136,9 @@ int main(int argc, char** argv) {
       if (!std::isfinite(estimate) || estimate < 0.0) {
         return Fail("non-finite schedule estimate", algo.name);
       }
-      recorder.Record(algo.name, n, 1, wall);
-      table.AddRow({Table::Int(n), algo.name, Table::Num(wall, 3),
+      recorder.Record(algo.name, n, reps, wall);
+      table.AddRow({Table::Int(n), algo.name,
+                    Table::Num(wall, n < 1000 ? 6 : 3),
                     Table::Num(estimate, 1)});
     }
   }

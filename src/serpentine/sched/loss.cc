@@ -8,9 +8,11 @@
 //
 // Hot paths price edges through tsp::LocateCostSoA: with the Dlt4000 model
 // the per-edge cost is a bit-identical arithmetic kernel over flat per-city
-// arrays, so no O(n²) matrix is ever materialized. Generic models keep the
-// historical shapes (dense matrix or per-batch cache), which also preserve
-// the plan-each-pair-once guarantee their virtual calls rely on.
+// arrays, so no O(n²) matrix is materialized above tsp::kDenseLossMaxCities
+// cities (below it, tsp::SolveLossPath prices each edge once into a reused
+// per-thread matrix). Generic models keep the historical shapes (dense
+// matrix or per-batch cache), which also preserve the plan-each-pair-once
+// guarantee their virtual calls rely on.
 #include <algorithm>
 #include <cmath>
 #include <typeinfo>
@@ -24,7 +26,6 @@
 #include "serpentine/tsp/cost_matrix.h"
 #include "serpentine/tsp/locate_cost.h"
 #include "serpentine/tsp/loss.h"
-#include "serpentine/tsp/loss_solver.h"
 #include "serpentine/tsp/ltsp.h"
 #include "serpentine/tsp/sparse_loss.h"
 #include "serpentine/util/check.h"
@@ -87,10 +88,11 @@ tsp::LocateCostSoA MakeCityCosts(const tape::LocateModel& model,
   return tsp::LocateCostSoA(model, std::move(out), std::move(in));
 }
 
-/// Dense LOSS over one city list, lazily priced on the kernel path. For
-/// generic models the dense matrix remains the batch's edge-cost cache
-/// (every ordered pair planned exactly once); results are bit-identical
-/// either way because the kernel reproduces the model's arithmetic.
+/// Dense LOSS over one city list through the kernel: priced into a matrix
+/// up to tsp::kDenseLossMaxCities cities, lazily above. For generic models
+/// the dense matrix remains the batch's edge-cost cache (every ordered pair
+/// planned exactly once); results are bit-identical either way because the
+/// kernel reproduces the model's arithmetic.
 template <typename GroupOf>
 std::vector<int> SolveDenseLossOrder(const tape::LocateModel& model,
                                      const tape::TapeGeometry& g,
@@ -100,7 +102,7 @@ std::vector<int> SolveDenseLossOrder(const tape::LocateModel& model,
   if (HasSoaKernel(model)) {
     tsp::LocateCostSoA costs = MakeCityCosts(model, g, groups, initial,
                                              cities, group_of);
-    return tsp::SolveLossPathOver(costs);
+    return tsp::SolveLossPath(costs);
   }
   // The dense matrix IS the batch's edge-cost cache: Build prices every
   // ordered pair exactly once, and the solver only ever reads the matrix.
@@ -186,14 +188,14 @@ std::vector<Request> ScheduleLossPartitioned(const tape::LocateModel& model,
     std::vector<int> order;
     if (HasSoaKernel(model)) {
       tsp::LocateCostSoA costs(model, std::move(out), std::move(in));
-      order = tsp::SolveLossPathOver(costs);
+      order = tsp::SolveLossPath(costs);
     } else {
       // Shard-local cache: each fragment plans its own pairs once; safe
       // under concurrency because nothing is shared.
       tape::CachedLocateModel cached(model,
                                      static_cast<int64_t>(cities) * 16);
       tsp::LocateCostSoA costs(cached, std::move(out), std::move(in));
-      order = tsp::SolveLossPathOver(costs);
+      order = tsp::SolveLossPath(costs);
     }
     std::vector<int>& chain = chains[f];
     chain.reserve(cities);
@@ -216,12 +218,12 @@ std::vector<Request> ScheduleLossPartitioned(const tape::LocateModel& model,
   std::vector<int> merge_order;
   if (HasSoaKernel(model)) {
     tsp::LocateCostSoA costs(model, std::move(out), std::move(in));
-    merge_order = tsp::SolveLossPathOver(costs);
+    merge_order = tsp::SolveLossPath(costs);
   } else {
     tape::CachedLocateModel cached(model,
                                    static_cast<int64_t>(merge_cities) * 16);
     tsp::LocateCostSoA costs(cached, std::move(out), std::move(in));
-    merge_order = tsp::SolveLossPathOver(costs);
+    merge_order = tsp::SolveLossPath(costs);
   }
 
   std::vector<int> visit;

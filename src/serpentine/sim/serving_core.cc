@@ -5,7 +5,6 @@
 #include <cmath>
 #include <numeric>
 #include <string>
-#include <unordered_map>
 #include <utility>
 
 #include "serpentine/obs/metrics.h"
@@ -544,17 +543,27 @@ void ServingCore::ExecuteGroup(const std::vector<ServingRequest>& members,
 
   // Completion matching by segment, as in RunQueueSimulation, with
   // deadline-miss accounting layered on. Duplicates resolve to the oldest
-  // unmatched member — the per-segment FIFO picks exactly the request the
-  // old linear first-undone scan did, without the O(batch²) cost.
-  std::unordered_map<tape::SegmentId, std::deque<size_t>> waiting;
+  // unmatched member: (segment, member) pairs sorted once, each answered
+  // pair marked, so a completion takes its segment's first unmarked pair —
+  // the request the old linear first-undone scan picked, without its
+  // O(batch²) cost or a heap block per member.
+  constexpr size_t kAnswered = std::numeric_limits<size_t>::max();
+  waiting_.clear();
   for (size_t i = 0; i < members.size(); ++i) {
-    waiting[members[i].segment].push_back(i);
+    waiting_.emplace_back(members[i].segment, i);
   }
+  std::sort(waiting_.begin(), waiting_.end());
   auto complete = [&](tape::SegmentId segment, double at, bool ok) {
-    auto it = waiting.find(segment);
-    SERPENTINE_CHECK(it != waiting.end() && !it->second.empty());
-    size_t i = it->second.front();
-    it->second.pop_front();
+    auto it = std::lower_bound(
+        waiting_.begin(), waiting_.end(), segment,
+        [](const auto& entry, tape::SegmentId s) { return entry.first < s; });
+    while (it != waiting_.end() && it->first == segment &&
+           it->second == kAnswered) {
+      ++it;
+    }
+    SERPENTINE_CHECK(it != waiting_.end() && it->first == segment);
+    const size_t i = it->second;
+    it->second = kAnswered;
     responses_.push_back(at - members[i].time);
     if (ok) {
       ++result_.completed;

@@ -225,6 +225,10 @@ class ServingCore {
 
   std::function<void(const ServingRequest&, double, bool)> on_complete_;
 
+  /// ExecuteGroup's (segment, member) completion index, reused across
+  /// dispatches.
+  std::vector<std::pair<tape::SegmentId, size_t>> waiting_;
+
   OnlineServerResult result_;
   std::vector<double> responses_;
   double batch_sum_ = 0.0;

@@ -1,6 +1,8 @@
 #include "serpentine/tape/geometry.h"
 
-#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <string>
 
 #include "serpentine/util/check.h"
 #include "serpentine/util/lrand48.h"
@@ -23,16 +25,16 @@ TapeGeometry TapeGeometry::Generate(const TapeParams& params, int32_t seed) {
   const int sections = params.sections_per_track;
   const double nominal_width = params.physical_sections / sections;
 
-  g.track_start_.resize(tracks + 1);
-  g.sec_len_.resize(tracks);
-  g.boundary_.resize(tracks);
-  g.key_segment_.resize(tracks);
+  g.key_segment_.resize(static_cast<size_t>(tracks) * sections + 1);
+  g.boundary_.resize(static_cast<size_t>(tracks) * (sections + 1));
 
   SegmentId next = 0;
   for (int t = 0; t < tracks; ++t) {
-    g.track_start_[t] = next;
-    auto& len = g.sec_len_[t];
-    len.resize(sections);
+    // Section lengths are drawn in physical order and parked in the key
+    // point slots of their reading-order sections (on reverse tracks,
+    // reading order visits physical sections high-to-low) until the prefix
+    // sum below turns them into key points.
+    SegmentId* ks = &g.key_segment_[g.Section(t, 0)];
     for (int s = 0; s < sections; ++s) {
       int nominal = (s == sections - 1) ? params.short_section_segments
                                         : params.nominal_section_segments;
@@ -41,12 +43,10 @@ TapeGeometry TapeGeometry::Generate(const TapeParams& params, int32_t seed) {
                              2 * params.section_segment_jitter + 1)) -
                              params.section_segment_jitter
                        : 0;
-      len[s] = nominal + jitter;
-      next += len[s];
+      ks[g.ReadingSection(t, s)] = nominal + jitter;
     }
 
-    auto& pb = g.boundary_[t];
-    pb.resize(sections + 1);
+    PhysicalPos* pb = &g.boundary_[static_cast<size_t>(t) * (sections + 1)];
     pb[0] = 0.0;
     pb[sections] = params.physical_sections;
     for (int s = 1; s < sections; ++s) {
@@ -60,19 +60,16 @@ TapeGeometry TapeGeometry::Generate(const TapeParams& params, int32_t seed) {
     for (int s = 1; s <= sections; ++s)
       SERPENTINE_CHECK_LT(pb[s - 1], pb[s]);
 
-    // Key points: cumulative reading-order section lengths. On reverse
-    // tracks reading order visits physical sections high-to-low.
-    auto& ks = g.key_segment_[t];
-    ks.resize(sections);
-    SegmentId at = g.track_start_[t];
+    // Key points: cumulative reading-order section lengths.
     for (int r = 0; r < sections; ++r) {
-      ks[r] = at;
-      at += len[g.PhysicalSection(t, r)];
+      const SegmentId len = ks[r];
+      ks[r] = next;
+      next += len;
     }
-    SERPENTINE_CHECK_EQ(at, next);
   }
-  g.track_start_[tracks] = next;
+  g.key_segment_.back() = next;
   g.total_segments_ = next;
+  g.BuildDecodeIndex();
   return g;
 }
 
@@ -82,6 +79,9 @@ serpentine::StatusOr<TapeGeometry> TapeGeometry::FromKeyPoints(
     SegmentId total_segments) {
   const int tracks = params.num_tracks;
   const int sections = params.sections_per_track;
+  if (tracks <= 0 || sections <= 0) {
+    return InvalidArgumentError("tracks and sections must be positive");
+  }
   if (static_cast<int>(key_segments.size()) != tracks) {
     return InvalidArgumentError("expected one key-point row per track");
   }
@@ -97,66 +97,55 @@ serpentine::StatusOr<TapeGeometry> TapeGeometry::FromKeyPoints(
   TapeGeometry g;
   g.params_ = params;
   g.total_segments_ = total_segments;
-  g.track_start_.resize(tracks + 1);
-  g.sec_len_.resize(tracks);
-  g.boundary_.resize(tracks);
-  g.key_segment_ = key_segments;
+  g.key_segment_.reserve(static_cast<size_t>(tracks) * sections + 1);
+  for (const auto& row : key_segments) {
+    g.key_segment_.insert(g.key_segment_.end(), row.begin(), row.end());
+  }
+  g.key_segment_.push_back(total_segments);
+  for (size_t i = 0; i + 1 < g.key_segment_.size(); ++i) {
+    // Decode holds a segment's offset within its section in an int.
+    const int64_t section_len = g.key_segment_[i + 1] - g.key_segment_[i];
+    if (section_len > 0 && section_len <= std::numeric_limits<int>::max()) {
+      continue;
+    }
+    const std::string where = " (track " + std::to_string(i / sections) +
+                              ", section " + std::to_string(i % sections) +
+                              ")";
+    if (section_len <= 0) {
+      return InvalidArgumentError("key points must be strictly increasing" +
+                                  where);
+    }
+    return InvalidArgumentError(
+        "section of " + std::to_string(section_len) +
+        " segments is longer than " +
+        std::to_string(std::numeric_limits<int>::max()) + where);
+  }
 
   const double nominal_width = params.physical_sections / sections;
+  g.boundary_.resize(static_cast<size_t>(tracks) * (sections + 1));
   for (int t = 0; t < tracks; ++t) {
-    g.track_start_[t] = key_segments[t][0];
-    SegmentId track_end =
-        t + 1 < tracks ? key_segments[t + 1][0] : total_segments;
-    auto& len = g.sec_len_[t];
-    len.resize(sections);
-    for (int r = 0; r < sections; ++r) {
-      SegmentId next =
-          r + 1 < sections ? key_segments[t][r + 1] : track_end;
-      int64_t section_len = next - key_segments[t][r];
-      if (section_len <= 0) {
-        return InvalidArgumentError(
-            "key points must be strictly increasing (track " +
-            std::to_string(t) + ", section " + std::to_string(r) + ")");
-      }
-      len[g.PhysicalSection(t, r)] = static_cast<int>(section_len);
+    for (int s = 0; s <= sections; ++s) {
+      g.boundary_[static_cast<size_t>(t) * (sections + 1) + s] =
+          nominal_width * s;
     }
-    auto& pb = g.boundary_[t];
-    pb.resize(sections + 1);
-    for (int s = 0; s <= sections; ++s) pb[s] = nominal_width * s;
   }
-  g.track_start_[tracks] = total_segments;
+  g.BuildDecodeIndex();
   return g;
 }
 
-int TapeGeometry::TrackOf(SegmentId seg) const {
-  SERPENTINE_CHECK_GE(seg, 0);
-  SERPENTINE_CHECK_LT(seg, total_segments_);
-  auto it = std::upper_bound(track_start_.begin(), track_start_.end(), seg);
-  return static_cast<int>(it - track_start_.begin()) - 1;
-}
-
-int TapeGeometry::ReadingSectionOf(SegmentId seg) const {
-  int t = TrackOf(seg);
-  const auto& ks = key_segment_[t];
-  auto it = std::upper_bound(ks.begin(), ks.end(), seg);
-  return static_cast<int>(it - ks.begin()) - 1;
-}
-
-Coord TapeGeometry::ToCoord(SegmentId seg) const {
-  int t = TrackOf(seg);
-  const auto& ks = key_segment_[t];
-  auto it = std::upper_bound(ks.begin(), ks.end(), seg);
-  int r = static_cast<int>(it - ks.begin()) - 1;
-  int p = PhysicalSection(t, r);
-  int64_t offset = seg - ks[r];
-  int len = sec_len_[t][p];
-  SERPENTINE_CHECK_LT(offset, len);
-  Coord c;
-  c.track = t;
-  c.physical_section = p;
-  c.index = IsForwardTrack(t) ? static_cast<int>(offset)
-                              : len - 1 - static_cast<int>(offset);
-  return c;
+void TapeGeometry::BuildDecodeIndex() {
+  const SegmentId sections = static_cast<SegmentId>(key_segment_.size()) - 1;
+  SERPENTINE_CHECK_LE(sections, std::numeric_limits<int>::max());
+  const SegmentId last = total_segments_ - 1;
+  bucket_shift_ = 0;
+  while ((last >> bucket_shift_) + 1 > sections) ++bucket_shift_;
+  bucket_.resize(static_cast<size_t>((last >> bucket_shift_) + 1));
+  int i = 0;
+  for (size_t b = 0; b < bucket_.size(); ++b) {
+    const SegmentId first = static_cast<SegmentId>(b) << bucket_shift_;
+    while (key_segment_[i + 1] <= first) ++i;
+    bucket_[b] = i;
+  }
 }
 
 SegmentId TapeGeometry::ToSegment(const Coord& c) const {
@@ -164,55 +153,43 @@ SegmentId TapeGeometry::ToSegment(const Coord& c) const {
   SERPENTINE_CHECK_LT(c.track, params_.num_tracks);
   SERPENTINE_CHECK_GE(c.physical_section, 0);
   SERPENTINE_CHECK_LT(c.physical_section, params_.sections_per_track);
-  int len = sec_len_[c.track][c.physical_section];
+  int len = section_segments(c.track, c.physical_section);
   SERPENTINE_CHECK_GE(c.index, 0);
   SERPENTINE_CHECK_LT(c.index, len);
   int r = ReadingSection(c.track, c.physical_section);
   int64_t offset =
       IsForwardTrack(c.track) ? c.index : len - 1 - c.index;
-  return key_segment_[c.track][r] + offset;
+  return KeyPointSegment(c.track, r) + offset;
 }
 
 PhysicalPos TapeGeometry::KeyPointPhysical(int track,
                                            int reading_section) const {
   int p = PhysicalSection(track, reading_section);
-  return IsForwardTrack(track) ? boundary_[track][p]
-                               : boundary_[track][p + 1];
-}
-
-PhysicalPos TapeGeometry::PhysicalPosition(SegmentId seg) const {
-  Coord c = ToCoord(seg);
-  double lo = boundary_[c.track][c.physical_section];
-  double hi = boundary_[c.track][c.physical_section + 1];
-  int len = sec_len_[c.track][c.physical_section];
-  // The head sits at the reading edge of the segment's slot: the low edge
-  // on forward tracks, the high edge on reverse tracks.
-  double frac = IsForwardTrack(c.track)
-                    ? static_cast<double>(c.index) / len
-                    : static_cast<double>(c.index + 1) / len;
-  return lo + frac * (hi - lo);
+  return IsForwardTrack(track) ? section_boundary(track, p)
+                               : section_boundary(track, p + 1);
 }
 
 TapeGeometry::ReadSpan TapeGeometry::SequentialSpan(SegmentId from,
                                                     SegmentId to) const {
   SERPENTINE_CHECK_LE(from, to);
   ReadSpan span;
-  int t0 = TrackOf(from);
-  int t1 = TrackOf(to);
+  const Decoded first = Decode(from);
+  const int t0 = first.track;
+  const int t1 = to < track_start(t0 + 1) ? t0 : TrackOf(to);
   span.track_switches = t1 - t0;
-  for (int t = t0; t <= t1; ++t) {
-    SegmentId a = std::max(from, track_start_[t]);
-    SegmentId b = std::min(to, track_start_[t + 1] - 1);
-    double start = PhysicalPosition(a);
+  double start = first.position;
+  for (int t = t0;; ++t) {
     double end;
-    if (b + 1 < track_start_[t + 1]) {
-      end = PhysicalPosition(b + 1);
+    if (t == t1 && to + 1 < track_start(t + 1)) {
+      end = PhysicalPosition(to + 1);
     } else {
       // Reading runs to the end of the track: the far physical edge on
       // forward tracks, BOT on reverse tracks.
       end = IsForwardTrack(t) ? params_.physical_sections : 0.0;
     }
     span.physical_distance += std::abs(end - start);
+    if (t == t1) break;
+    start = PhysicalPosition(track_start(t + 1));
   }
   return span;
 }
@@ -223,7 +200,7 @@ std::vector<TapeGeometry::KeyPoint> TapeGeometry::AllKeyPoints() const {
               params_.sections_per_track);
   for (int t = 0; t < params_.num_tracks; ++t) {
     for (int r = 0; r < params_.sections_per_track; ++r) {
-      out.push_back(KeyPoint{t, r, key_segment_[t][r],
+      out.push_back(KeyPoint{t, r, KeyPointSegment(t, r),
                              KeyPointPhysical(t, r)});
     }
   }

@@ -45,6 +45,25 @@ serpentine::StatusOr<KeyPointFile> ParseKeyPoints(const std::string& text) {
   if (tracks <= 0 || sections <= 0 || total <= 0) {
     return InvalidArgumentError("non-positive dimensions in header");
   }
+  // Every key point takes a separator and a digit, so the rest of the text
+  // bounds what the header may claim; nothing is sized before that holds.
+  // (tellg is -1 when the header ran to the end of the text.)
+  const long long at = in.tellg();
+  const long long room =
+      at < 0 ? 0 : static_cast<long long>(text.size()) - at;
+  auto too_big = [&](const std::string& claim) {
+    return InvalidArgumentError("header claims " + claim + ", more than the " +
+                                std::to_string(room) +
+                                " bytes of key-point data can hold");
+  };
+  if (tracks > room / 2) return too_big(std::to_string(tracks) + " tracks");
+  if (sections > room / 2) {
+    return too_big(std::to_string(sections) + " sections");
+  }
+  if (tracks > room / 2 / sections) {
+    return too_big(std::to_string(tracks) + " x " + std::to_string(sections) +
+                   " key points");
+  }
 
   KeyPointFile file;
   file.total_segments = total;

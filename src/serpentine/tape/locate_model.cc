@@ -35,18 +35,21 @@ Dlt4000LocateModel::Plan Dlt4000LocateModel::PlanLocate(SegmentId src,
                                                         SegmentId dst) const {
   Plan plan{};
   const TapeGeometry& g = geometry_;
-  int track_s = g.TrackOf(src);
-  int track_d = g.TrackOf(dst);
-  int r_s = g.ReadingSectionOf(src);
-  int r_d = g.ReadingSectionOf(dst);
-  double p_s = g.PhysicalPosition(src);
-  double p_d = g.PhysicalPosition(dst);
+  const TapeGeometry::Decoded s = g.Decode(src);
+  const TapeGeometry::Decoded d = g.Decode(dst);
+  const int track_s = s.track;
+  const int track_d = d.track;
+  const int r_s = s.reading_section;
+  const int r_d = d.reading_section;
+  const double p_s = s.position;
+  const double p_d = d.position;
 
   // Case 1: forward in the same track, within the same or next two reading
   // sections — the drive stays at read speed.
   if (track_s == track_d && dst >= src && r_d <= r_s + 2) {
     plan.locate_case = LocateCase::kReadForward;
     plan.read_distance = std::abs(p_d - p_s);
+    plan.scan_target = p_d;
     return plan;
   }
 
@@ -56,6 +59,7 @@ Dlt4000LocateModel::Plan Dlt4000LocateModel::PlanLocate(SegmentId src,
   bool to_track_start = r_d <= 1;
   int r_kp = std::max(0, r_d - 1);
   double p_kp = g.KeyPointPhysical(track_d, r_kp);
+  plan.scan_target = p_kp;
 
   plan.scan_distance = std::abs(p_kp - p_s);
   plan.track_change = track_s != track_d;
@@ -141,13 +145,7 @@ double Dlt4000LocateModel::RewindSeconds(SegmentId from) const {
 PhysicalPos Dlt4000LocateModel::ScanTargetPhysical(SegmentId src,
                                                    SegmentId dst) const {
   if (src == dst) return geometry_.PhysicalPosition(dst);
-  Plan plan = PlanLocate(src, dst);
-  if (plan.locate_case == LocateCase::kReadForward) {
-    return geometry_.PhysicalPosition(dst);
-  }
-  int track_d = geometry_.TrackOf(dst);
-  int r_kp = std::max(0, geometry_.ReadingSectionOf(dst) - 1);
-  return geometry_.KeyPointPhysical(track_d, r_kp);
+  return PlanLocate(src, dst).scan_target;
 }
 
 double Dlt4000LocateModel::TransferSeconds(int64_t bytes) const {

@@ -143,6 +143,7 @@ class Dlt4000LocateModel : public LocateModel {
     bool track_change;
     bool reversal;         // scan leg runs against src reading direction
     double read_distance;  // section units of the final read-forward leg
+    PhysicalPos scan_target;  // see ScanTargetPhysical
   };
   Plan PlanLocate(SegmentId src, SegmentId dst) const;
 

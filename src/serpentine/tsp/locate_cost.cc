@@ -43,26 +43,23 @@ LocateCostSoA::LocateCostSoA(const tape::LocateModel& model,
   in_kp_read_seconds_.resize(n_);
   out_forward_.resize(n_);
   for (int c = 0; c < n_; ++c) {
-    const tape::SegmentId src = out_seg_[c];
-    out_track_[c] = g.TrackOf(src);
-    out_rsec_[c] = g.ReadingSectionOf(src);
-    out_ppos_[c] = g.PhysicalPosition(src);
-    out_forward_[c] = g.IsForwardTrack(out_track_[c]) ? 1 : 0;
+    const tape::TapeGeometry::Decoded src = g.Decode(out_seg_[c]);
+    out_track_[c] = src.track;
+    out_rsec_[c] = src.reading_section;
+    out_ppos_[c] = src.position;
+    out_forward_[c] = g.IsForwardTrack(src.track) ? 1 : 0;
 
-    const tape::SegmentId dst = in_seg_[c];
-    const int track_d = g.TrackOf(dst);
-    const int r_d = g.ReadingSectionOf(dst);
-    const double p_d = g.PhysicalPosition(dst);
-    in_track_[c] = track_d;
-    in_rsec_[c] = r_d;
-    in_ppos_[c] = p_d;
+    const tape::TapeGeometry::Decoded dst = g.Decode(in_seg_[c]);
+    in_track_[c] = dst.track;
+    in_rsec_[c] = dst.reading_section;
+    in_ppos_[c] = dst.position;
     // Key point two before the destination, clamped to the beginning of
     // the track (locate_model.cc PlanLocate), and its read-forward leg.
-    const int r_kp = std::max(0, r_d - 1);
-    const double p_kp = g.KeyPointPhysical(track_d, r_kp);
+    const int r_kp = std::max(0, dst.reading_section - 1);
+    const double p_kp = g.KeyPointPhysical(dst.track, r_kp);
     in_kp_ppos_[c] = p_kp;
     in_kp_read_seconds_[c] =
-        std::abs(p_d - p_kp) * read_seconds_per_section_;
+        std::abs(dst.position - p_kp) * read_seconds_per_section_;
   }
 }
 

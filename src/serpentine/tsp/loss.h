@@ -38,6 +38,20 @@ struct LossStats {
 std::vector<int> SolveLossPathWithStats(const CostMatrix& m,
                                         LossStats* stats);
 
+class LocateCostSoA;
+
+/// Largest city count SolveLossPath(LocateCostSoA) prices into a dense
+/// matrix. Serving batches (at most 64 requests) always fit.
+inline constexpr int kDenseLossMaxCities = 128;
+
+/// LOSS over a batch's locate costs. On the Dlt4000 kernel with at most
+/// kDenseLossMaxCities cities, every edge is priced once into a per-thread
+/// matrix that grows to at most kDenseLossMaxCities² entries, so rescans
+/// read instead of re-pricing; otherwise edges are priced on demand. The
+/// same solver runs either way, so paths and stats are identical.
+std::vector<int> SolveLossPath(const LocateCostSoA& costs,
+                               LossStats* stats = nullptr);
+
 }  // namespace serpentine::tsp
 
 #endif  // SERPENTINE_TSP_LOSS_H_

@@ -10,6 +10,7 @@
 
 #include "serpentine/obs/trace.h"
 #include "serpentine/sim/queue_sim.h"
+#include "serpentine/sim/serving_core.h"
 
 namespace serpentine::sim {
 
@@ -361,6 +362,42 @@ TEST_F(OnlineServerTest, DepthCounterKeepsTheLeftoverOfACappedDispatch) {
   }
   EXPECT_EQ(batches, r->batches);
   EXPECT_GT(capped_with_leftover, 0);
+}
+
+TEST_F(OnlineServerTest, DuplicateSegmentsAnswerOldestFirst) {
+  // Three requests for one segment and one elsewhere, dispatched as one
+  // batch: the segment is read three times, and each read answers the
+  // oldest of its requests still waiting, whatever the order in between.
+  OnlineServerConfig config;
+  config.dispatch_min_batch = 4;
+  ASSERT_TRUE(ValidateOnlineServerConfig(config).ok());
+  const tape::SegmentId segment = 123456;
+  ServingCore core({&model_}, config, config.seed);
+  std::vector<int64_t> answered;
+  std::vector<double> at_times;
+  core.set_completion_callback(
+      [&](const ServingRequest& r, double at, bool ok) {
+        EXPECT_TRUE(ok);
+        if (r.segment != segment) return;
+        answered.push_back(r.id);
+        at_times.push_back(at);
+      });
+  for (int i = 0; i < 4; ++i) {
+    ServingRequest r;
+    r.time = 10.0 * i;
+    r.segment = i == 2 ? 400000 : segment;
+    r.id = i;
+    core.Push(r);
+  }
+  core.FinishInput();
+  for (int guard = 0; core.Step() != ServingStep::kDone; ++guard) {
+    ASSERT_LT(guard, 1000) << "serving loop failed to converge";
+  }
+  EXPECT_EQ(core.result().batches, 1);
+  EXPECT_EQ(answered, (std::vector<int64_t>{0, 1, 3}));
+  ASSERT_EQ(at_times.size(), 3u);
+  EXPECT_LT(at_times[0], at_times[1]);
+  EXPECT_LT(at_times[1], at_times[2]);
 }
 
 TEST_F(OnlineServerTest, ValidateRejectsGarbageConfigs) {

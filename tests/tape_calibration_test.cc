@@ -1,6 +1,7 @@
 #include "serpentine/tape/calibration.h"
 
 #include <cmath>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -228,6 +229,23 @@ TEST(FromKeyPointsTest, RejectsBadKeyPoints) {
   EXPECT_FALSE(TapeGeometry::FromKeyPoints(params, keys,
                                            truth.total_segments())
                    .ok());
+}
+
+TEST(FromKeyPointsTest, RejectsASectionLongerThanAnInt) {
+  // Section 1 of track 0 would hold 3·10⁹ segments; it used to be stored as
+  // -1294967296.
+  TapeParams params;
+  params.num_tracks = 1;
+  params.sections_per_track = 3;
+  const std::vector<std::vector<SegmentId>> keys = {{0, 10, 3000000010}};
+  auto built = TapeGeometry::FromKeyPoints(params, keys, 3000000020);
+  ASSERT_FALSE(built.ok());
+  EXPECT_EQ(built.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(built.status().message().find("(track 0, section 1)"),
+            std::string::npos)
+      << built.status().ToString();
+  EXPECT_NE(built.status().message().find("3000000000"), std::string::npos)
+      << built.status().ToString();
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include "serpentine/tape/keypoint_io.h"
 
 #include <cstdio>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -56,6 +57,27 @@ TEST(KeyPointIoTest, RejectsBadInput) {
   EXPECT_FALSE(ParseKeyPoints("serpentine-keypoints v1\n"
                               "sections 3 tracks 2 total 90\n")
                    .ok());
+}
+
+TEST(KeyPointIoTest, RejectsDimensionsTheDataCannotHold) {
+  // A header of 10^11 tracks used to be resized to before any key point
+  // was read, and the process died of std::bad_alloc.
+  auto parsed = ParseKeyPoints("serpentine-keypoints v1\n"
+                               "tracks 100000000000 sections 14 total 90\n"
+                               "0 10 20\n");
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(parsed.status().message().find("100000000000 tracks"),
+            std::string::npos)
+      << parsed.status().ToString();
+
+  parsed = ParseKeyPoints("serpentine-keypoints v1\n"
+                          "tracks 1 sections 4000000000 total 90\n"
+                          "0 10 20\n");
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_NE(parsed.status().message().find("4000000000 sections"),
+            std::string::npos)
+      << parsed.status().ToString();
 }
 
 TEST(KeyPointIoTest, SaveAndLoadFile) {

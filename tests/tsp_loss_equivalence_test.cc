@@ -5,8 +5,12 @@
 // dense matrices with 2, 5 and 990 distinct costs, rows forced onto a single
 // finite edge, and DLT4000 locate costs over uniform, clustered and
 // duplicate-segment draws, with a random, beginning-of-tape or pinned start.
+// SolveLossPath(LocateCostSoA), which prices batches of up to
+// kDenseLossMaxCities cities into a dense matrix before solving, is held to
+// the same oracle on both sides of that threshold.
 #include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -24,6 +28,12 @@ namespace {
 
 using tape::SegmentId;
 
+void ExpectSameStats(const LossStats& got, const LossStats& want,
+                     const std::string& label) {
+  EXPECT_EQ(got.iterations, want.iterations) << label;
+  EXPECT_EQ(got.row_rescans, want.row_rescans) << label;
+}
+
 template <typename Costs>
 void ExpectSameAsScan(const Costs& costs, const std::string& label) {
   LossStats got_stats;
@@ -31,8 +41,19 @@ void ExpectSameAsScan(const Costs& costs, const std::string& label) {
   std::vector<int> got = SolveLossPathOver(costs, &got_stats);
   std::vector<int> want = reference::SolveLossPathOver(costs, &want_stats);
   EXPECT_EQ(got, want) << label;
-  EXPECT_EQ(got_stats.iterations, want_stats.iterations) << label;
-  EXPECT_EQ(got_stats.row_rescans, want_stats.row_rescans) << label;
+  ExpectSameStats(got_stats, want_stats, label);
+}
+
+/// As ExpectSameAsScan, through the entry point the schedulers call, which
+/// prices small batches into a dense matrix first.
+void ExpectDispatchSameAsScan(const LocateCostSoA& costs,
+                              const std::string& label) {
+  LossStats got_stats;
+  LossStats want_stats;
+  std::vector<int> got = SolveLossPath(costs, &got_stats);
+  std::vector<int> want = reference::SolveLossPathOver(costs, &want_stats);
+  EXPECT_EQ(got, want) << label;
+  ExpectSameStats(got_stats, want_stats, label);
 }
 
 /// Random costs drawn from `distinct` values 1..distinct: few values mean
@@ -171,6 +192,70 @@ TEST_F(LossEquivalenceDltTest, PinnedStartFragments) {
     }
     ExpectSameAsScan(LocateCostSoA(model_, std::move(out), std::move(in)),
                      "cities=" + std::to_string(cities));
+  }
+}
+
+TEST_F(LossEquivalenceDltTest, BatchesAroundTheDenseThreshold) {
+  // Knee-sized batches, then city counts just below, at and just above
+  // kDenseLossMaxCities: the last one takes the lazy path.
+  for (int cities : {2, 3, 29, 65, kDenseLossMaxCities - 1,
+                     kDenseLossMaxCities, kDenseLossMaxCities + 1}) {
+    for (int32_t seed = 1; seed <= 3; ++seed) {
+      Lrand48 rng(1000 * cities + seed);
+      const SegmentId start = seed == 3 ? 0 : rng.NextBounded(total_);
+      const std::string label = "cities=" + std::to_string(cities) +
+                                " seed=" + std::to_string(seed);
+      ExpectDispatchSameAsScan(Cities(start, Uniform(rng, cities - 1)),
+                               label);
+      // Duplicates: zero-cost edges and equal rows on the dense path too.
+      std::vector<SegmentId> pool = Uniform(rng, 6);
+      std::vector<SegmentId> segments;
+      for (int i = 1; i < cities; ++i) {
+        segments.push_back(pool[rng.NextBounded(6)]);
+      }
+      ExpectDispatchSameAsScan(Cities(pool[0], segments),
+                               label + " duplicates");
+    }
+  }
+}
+
+TEST_F(LossEquivalenceDltTest, LossMtMergeAroundTheDenseThreshold) {
+  // loss-mt's merge orders fragment chains: each city enters at its
+  // chain's head and leaves from its tail, far from where it entered.
+  // 40 fragments is a 41-city merge; the others straddle the threshold.
+  for (int fragments : {40, kDenseLossMaxCities - 2, kDenseLossMaxCities - 1,
+                        kDenseLossMaxCities}) {
+    Lrand48 rng(77 * fragments);
+    const SegmentId initial = rng.NextBounded(total_);
+    std::vector<SegmentId> heads = Uniform(rng, fragments);
+    std::sort(heads.begin(), heads.end());
+    std::vector<SegmentId> out = {initial};
+    std::vector<SegmentId> in = {initial};
+    for (SegmentId head : heads) {
+      in.push_back(head);
+      out.push_back(rng.NextBounded(total_));
+    }
+    ExpectDispatchSameAsScan(
+        LocateCostSoA(model_, std::move(out), std::move(in)),
+        "merge cities=" + std::to_string(fragments + 1));
+  }
+}
+
+TEST_F(LossEquivalenceDltTest, PinnedStartFragmentsAroundTheDenseThreshold) {
+  for (int cities : {kDenseLossMaxCities - 1, kDenseLossMaxCities,
+                     kDenseLossMaxCities + 1}) {
+    Lrand48 rng(3 * cities);
+    std::vector<SegmentId> segments = Uniform(rng, cities);
+    std::sort(segments.begin(), segments.end());
+    std::vector<SegmentId> out;
+    std::vector<SegmentId> in;
+    for (SegmentId s : segments) {
+      in.push_back(s);
+      out.push_back(std::min<SegmentId>(s + 1, total_ - 1));
+    }
+    ExpectDispatchSameAsScan(
+        LocateCostSoA(model_, std::move(out), std::move(in)),
+        "fragment cities=" + std::to_string(cities));
   }
 }
 

@@ -11,8 +11,9 @@
 # The thread-sanitizer pass is the one that vets the parallel experiment
 # engine (ParallelFor / ShardCount); the address pass catches lifetime
 # bugs in the fault-injection and recovery paths, which exercise
-# rescheduling mid-batch, and also runs a 3000-request sched_scale sweep
-# so the LOSS solver's array indexing is checked at scale.
+# rescheduling mid-batch, and also runs a 30-to-3000-request sched_scale
+# sweep so the LOSS solver's array indexing, dense and lazy, is checked
+# beyond the unit tests.
 #
 # When clang-tidy is on PATH, a lint pass (modernize + bugprone) runs
 # first over the drive and scheduler layers; it is skipped silently-ish
@@ -102,18 +103,21 @@ for config in $CONFIGS; do
   echo "== $config: OK =="
 
   # The LOSS solver's tournament-tree and watcher-list indexing under ASan
-  # at sizes beyond the unit tests: dense LOSS at 1000 and 3000 cities,
-  # loss-mt fragments and their merge, and sparse LOSS's contraction.
+  # at sizes beyond the unit tests: LOSS on the per-thread dense matrix at
+  # 30 and 64 requests, lazily priced at 130 (just past the dense limit),
+  # 1000 and 3000, loss-mt fragments and their merge, and sparse LOSS's
+  # contraction, every locate decoded through the geometry's bucket index.
   if [ "$config" = "address" ]; then
     echo "== address: sched_scale --max-n=3000 --oropt-n=0 ($build_dir) =="
     "$build_dir/bench/sched_scale" --max-n=3000 --oropt-n=0
     echo "== address: sched_scale OK =="
   fi
 
-  # Perf smoke, on the unsanitized release build only: one 10k-request
-  # construction sweep (sched_scale exits nonzero on crash, NaN estimates,
-  # dropped requests, or sweep/incremental Or-opt divergence), then a
-  # schema check over the timing records it emitted.
+  # Perf smoke, on the unsanitized release build only: one construction
+  # sweep from serving-sized batches (30, 64 and 130 requests, fastest of
+  # repeated builds) to 10k requests (sched_scale exits nonzero on crash,
+  # NaN estimates, dropped requests, or sweep/incremental Or-opt
+  # divergence), then a schema check over the timing records it emitted.
   if [ "$config" = "plain" ]; then
     echo "== perf smoke: sched_scale --max-n=10000 ($build_dir) =="
     smoke_json="$build_dir/perf_smoke_sched_cpu.json"

@@ -28,7 +28,7 @@ echo "== fig6: scheduling CPU (google-benchmark) =="
   --benchmark_out_format=json
 
 echo
-echo "== sched_scale: construction wall-clock at 1k..100k requests =="
+echo "== sched_scale: construction wall-clock at 30..100k requests =="
 # Fresh file per run (TimingRecorder appends); validated below. Set
 # SERPENTINE_BENCH_LARGE=1 to also extend fig6 above into the 100k regime.
 rm -f "$OUT_DIR/BENCH_sched_cpu.json"
