@@ -13,7 +13,7 @@
 #include "serpentine/sched/scheduler.h"
 #include "serpentine/sim/executor.h"
 #include "serpentine/drive/fault_injector.h"
-#include "serpentine/sim/queue_sim.h"
+#include "serpentine/sim/online_server.h"
 #include "serpentine/sim/recovering_executor.h"
 #include "serpentine/util/lrand48.h"
 
@@ -87,12 +87,18 @@ int main() {
   t2.SetHeader({"intensity", "mean resp s", "p95 resp s", "utilization",
                 "retries", "resets", "failed"});
   for (double f : intensities) {
-    sim::QueueSimConfig config;
+    sim::OnlineServerConfig config;
     config.arrival_rate_per_hour = 60.0;
     config.total_requests = total;
     config.dispatch_min_batch = 16;
     config.faults = drive::FaultProfile::Light().Scaled(f);
-    sim::QueueSimResult r = sim::RunQueueSimulation(model, config);
+    auto result = sim::RunOnlineServer(model, config);
+    if (!result.ok()) {
+      std::fprintf(stderr, "intensity %.2f: %s\n", f,
+                   result.status().ToString().c_str());
+      return 1;
+    }
+    const sim::OnlineServerResult& r = *result;
     t2.AddRow({Table::Num(f, 2), Table::Num(r.mean_response_seconds, 0),
                Table::Num(r.p95_response_seconds, 0),
                Table::Num(r.utilization, 2),

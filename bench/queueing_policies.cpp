@@ -7,7 +7,7 @@
 #include <cstdio>
 
 #include "bench_common.h"
-#include "serpentine/sim/queue_sim.h"
+#include "serpentine/sim/online_server.h"
 
 using namespace serpentine;
 
@@ -27,12 +27,18 @@ int main() {
   for (double rate : {30.0, 60.0, 120.0, 240.0}) {
     for (sched::Algorithm a :
          {sched::Algorithm::kFifo, sched::Algorithm::kLoss}) {
-      sim::QueueSimConfig config;
+      sim::OnlineServerConfig config;
       config.arrival_rate_per_hour = rate;
       config.total_requests = total;
       config.algorithm = a;
       config.dispatch_min_batch = 16;
-      sim::QueueSimResult r = sim::RunQueueSimulation(model, config);
+      auto result = sim::RunOnlineServer(model, config);
+      if (!result.ok()) {
+        std::fprintf(stderr, "%s@%.0f: %s\n", sched::AlgorithmName(a), rate,
+                     result.status().ToString().c_str());
+        return 1;
+      }
+      const sim::OnlineServerResult& r = *result;
       t1.AddRow({Table::Num(rate, 0), sched::AlgorithmName(a),
                  Table::Num(r.mean_response_seconds, 0),
                  Table::Num(r.p95_response_seconds, 0),
@@ -48,13 +54,19 @@ int main() {
   t2.SetHeader({"min batch", "mean batch", "busy s/req", "mean resp s",
                 "p95 resp s"});
   for (int b : {1, 4, 16, 64, 256}) {
-    sim::QueueSimConfig config;
+    sim::OnlineServerConfig config;
     config.arrival_rate_per_hour = 60.0;
     config.total_requests = total;
     config.dispatch_min_batch = b;
-    sim::QueueSimResult r = sim::RunQueueSimulation(model, config);
+    auto result = sim::RunOnlineServer(model, config);
+    if (!result.ok()) {
+      std::fprintf(stderr, "min batch %d: %s\n", b,
+                   result.status().ToString().c_str());
+      return 1;
+    }
+    const sim::OnlineServerResult& r = *result;
     t2.AddRow({Table::Int(b), Table::Num(r.mean_batch_size, 1),
-               Table::Num(r.drive_busy_seconds / r.completed, 1),
+               Table::Num(r.drive_busy_seconds / (r.completed + r.failed), 1),
                Table::Num(r.mean_response_seconds, 0),
                Table::Num(r.p95_response_seconds, 0)});
   }

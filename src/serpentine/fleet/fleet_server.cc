@@ -8,7 +8,6 @@
 
 #include "serpentine/obs/metrics.h"
 #include "serpentine/util/check.h"
-#include "serpentine/util/replicate.h"
 
 namespace serpentine::fleet {
 namespace {
@@ -34,15 +33,6 @@ FleetTopology Fleet::Topology() const {
     topology.capacity.push_back(std::move(caps));
   }
   return topology;
-}
-
-bool Fleet::SupportsConcurrentUse() const {
-  for (const std::vector<const tape::LocateModel*>& lib : models) {
-    for (const tape::LocateModel* m : lib) {
-      if (!m->SupportsConcurrentUse()) return false;
-    }
-  }
-  return true;
 }
 
 UniformFleet::UniformFleet(const tape::TapeParams& params,
@@ -269,47 +259,6 @@ StatusOr<FleetResult> RunFleet(const Fleet& fleet, const FleetConfig& config) {
                       config.serving.total_requests);
   SERPENTINE_CHECK_EQ(out.total.arrivals, config.serving.total_requests);
   return out;
-}
-
-StatusOr<ReplicatedFleetStats> RunReplicatedFleet(const Fleet& fleet,
-                                                  const FleetConfig& config,
-                                                  int replications,
-                                                  int threads) {
-  SERPENTINE_RETURN_IF_ERROR(ValidateFleetConfig(fleet, config));
-  ReplicatedFleetStats stats;
-  // Placement (ingest state) is not re-drawn: only the serving seed moves.
-  auto run = [&](int32_t seed) {
-    FleetConfig replica = config;
-    replica.serving.seed = seed;
-    StatusOr<FleetResult> result = RunFleet(fleet, replica);
-    SERPENTINE_CHECK(result.ok());  // config validated above
-    return std::move(result).value();
-  };
-  SERPENTINE_ASSIGN_OR_RETURN(
-      stats.results,
-      Replicate("RunReplicatedFleet", config.serving.seed, replications,
-                threads, fleet.SupportsConcurrentUse(), run));
-
-  // Fold in replication order: thread-count invariant.
-  for (const FleetResult& r : stats.results) {
-    stats.mean_response_seconds.Add(r.total.mean_response_seconds);
-    stats.p99_response_seconds.Add(r.total.p99_response_seconds);
-    stats.utilization.Add(r.total.utilization);
-    stats.throughput_per_hour.Add(r.total.throughput_per_hour);
-    stats.shed_fraction.Add(r.total.arrivals > 0
-                                ? static_cast<double>(r.total.shed) /
-                                      r.total.arrivals
-                                : 0.0);
-    stats.deadline_miss_fraction.Add(
-        r.total.admitted > 0
-            ? static_cast<double>(r.total.deadline_missed) / r.total.admitted
-            : 0.0);
-    stats.failover_fraction.Add(
-        r.total.arrivals > 0
-            ? static_cast<double>(r.failovers) / r.total.arrivals
-            : 0.0);
-  }
-  return stats;
 }
 
 }  // namespace serpentine::fleet

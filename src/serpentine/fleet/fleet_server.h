@@ -27,7 +27,6 @@
 #include "serpentine/sim/online_server.h"
 #include "serpentine/sim/serving_core.h"
 #include "serpentine/tape/locate_model.h"
-#include "serpentine/util/stats.h"
 #include "serpentine/util/statusor.h"
 
 namespace serpentine::fleet {
@@ -42,9 +41,6 @@ struct Fleet {
   int libraries() const { return static_cast<int>(models.size()); }
   /// Per-cartridge segment capacities, as the catalog wants them.
   FleetTopology Topology() const;
-  /// True when every model tolerates concurrent readers (gates parallel
-  /// replications, as in RunReplicatedOnlineServer).
-  bool SupportsConcurrentUse() const;
 };
 
 /// The common fleet: L identical libraries of C cartridges each, all DLT
@@ -172,26 +168,6 @@ class FleetEngine {
 /// replicas, routed, and answered or shed. Fails on an invalid
 /// configuration or an unplaceable catalog.
 StatusOr<FleetResult> RunFleet(const Fleet& fleet, const FleetConfig& config);
-
-/// Independent replications, thread-count invariant (replica r reseeds the
-/// serving stream from DeriveRand48State(seed, r); placement stays fixed —
-/// the catalog is ingest state, not a per-run draw). Parallel only when
-/// every model supports concurrent use; statistics fold in replica order.
-struct ReplicatedFleetStats {
-  std::vector<FleetResult> results;
-  Accumulator mean_response_seconds;
-  Accumulator p99_response_seconds;
-  Accumulator utilization;
-  Accumulator throughput_per_hour;
-  Accumulator shed_fraction;
-  Accumulator deadline_miss_fraction;
-  Accumulator failover_fraction;
-};
-
-StatusOr<ReplicatedFleetStats> RunReplicatedFleet(const Fleet& fleet,
-                                                  const FleetConfig& config,
-                                                  int replications,
-                                                  int threads = 0);
 
 }  // namespace serpentine::fleet
 

@@ -1,6 +1,6 @@
 // TraceRecorder: scoped/complete spans, instants, counters, and async
 // request timelines, exported as Chrome trace_event JSON so any
-// serpsched/bench/queue-sim run can be opened in chrome://tracing or
+// serpsched/bench/serving run can be opened in chrome://tracing or
 // https://ui.perfetto.dev (see docs/observability.md for the span
 // taxonomy and a workflow walkthrough).
 //

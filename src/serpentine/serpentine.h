@@ -54,7 +54,6 @@
 #include "serpentine/sim/online_server.h"
 #include "serpentine/sim/perturbed_model.h"
 #include "serpentine/sim/physical_drive.h"
-#include "serpentine/sim/queue_sim.h"
 #include "serpentine/sim/recovering_executor.h"
 #include "serpentine/sim/serving_core.h"
 #include "serpentine/sim/wear.h"

@@ -1,30 +1,55 @@
 #include "serpentine/sim/online_server.h"
 
+#include <algorithm>
 #include <cmath>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "serpentine/sched/registry.h"
 #include "serpentine/sim/serving_core.h"
+#include "serpentine/tsp/exact.h"
 #include "serpentine/util/check.h"
-#include "serpentine/util/replicate.h"
 
 namespace serpentine::sim {
 
 Status ValidateOnlineServerConfig(const OnlineServerConfig& config) {
-  // The base knobs share QueueSimConfig's contract; validate through it.
-  QueueSimConfig base;
-  base.arrival_rate_per_hour = config.arrival_rate_per_hour;
-  base.total_requests = config.total_requests;
-  base.algorithm = config.algorithm;
-  base.scheduler_options = config.scheduler_options;
-  base.dispatch_min_batch = config.dispatch_min_batch;
-  base.dispatch_max_wait_seconds = config.dispatch_max_wait_seconds;
-  base.seed = config.seed;
-  base.faults = config.faults;
-  base.fault_retry = config.fault_retry;
-  SERPENTINE_RETURN_IF_ERROR(ValidateQueueSimConfig(base));
+  if (!std::isfinite(config.arrival_rate_per_hour) ||
+      config.arrival_rate_per_hour <= 0.0) {
+    return InvalidArgumentError(
+        "OnlineServerConfig: arrival_rate_per_hour must be finite and > 0, "
+        "got " +
+        std::to_string(config.arrival_rate_per_hour));
+  }
+  if (config.total_requests < 1) {
+    return InvalidArgumentError(
+        "OnlineServerConfig: total_requests must be >= 1, got " +
+        std::to_string(config.total_requests));
+  }
+  // The per-request async-span id packs (seed << 32) | arrival index; an
+  // index at or above 2^32 would silently bleed into the seed bits and
+  // alias another run's ids, so reject it here instead.
+  if (config.total_requests >= (int64_t{1} << 32)) {
+    return InvalidArgumentError(
+        "OnlineServerConfig: total_requests must be < 2^32 (async-span ids "
+        "pack the arrival index into 32 bits), got " +
+        std::to_string(config.total_requests));
+  }
+  if (config.dispatch_min_batch < 1) {
+    return InvalidArgumentError(
+        "OnlineServerConfig: dispatch_min_batch must be >= 1, got " +
+        std::to_string(config.dispatch_min_batch));
+  }
+  // Infinity means "no wait bound" and is the default; NaN and non-positive
+  // waits would make the dispatch policy undecidable.
+  if (std::isnan(config.dispatch_max_wait_seconds) ||
+      config.dispatch_max_wait_seconds <= 0.0) {
+    return InvalidArgumentError(
+        "OnlineServerConfig: dispatch_max_wait_seconds must be > 0 (inf = "
+        "no bound), got " +
+        std::to_string(config.dispatch_max_wait_seconds));
+  }
+  SERPENTINE_RETURN_IF_ERROR(drive::ValidateFaultProfile(config.faults));
+  SERPENTINE_RETURN_IF_ERROR(ValidateRetryPolicy(config.fault_retry));
 
   if (config.dispatch_max_batch < 0) {
     return InvalidArgumentError(
@@ -96,6 +121,44 @@ Status ValidateOnlineServerConfig(const OnlineServerConfig& config) {
   if (config.breaker_enabled) {
     SERPENTINE_RETURN_IF_ERROR(drive::ValidateBreakerPolicy(config.breaker));
   }
+
+  // OPT is exact and exponential: it refuses a batch of more than
+  // tsp::kMaxHeldKarpCities requests, and the serving loop cannot recover
+  // from a refused build. Reject any config that can hand OPT a larger
+  // batch. Only the dispatch cap bounds a batch below the stream length,
+  // and only without an aging bound, whose forced boarding can exceed it.
+  int64_t max_batch = config.total_requests;
+  if (config.dispatch_max_batch > 0 && config.max_wait_cycles == 0) {
+    max_batch = std::min<int64_t>(max_batch, config.dispatch_max_batch);
+  }
+  if (max_batch > tsp::kMaxHeldKarpCities) {
+    std::string opt;  // the knob that selects OPT, if any
+    if (!config.degradation.enabled) {
+      if (config.algorithm == sched::Algorithm::kOpt) opt = "algorithm opt";
+    } else {
+      for (const std::string& rung : config.degradation.rungs) {
+        if (sched::Registry::Default().Find(rung)->algorithm ==
+            sched::Algorithm::kOpt) {
+          opt = "degradation rung '" + rung + "'";
+          break;
+        }
+      }
+    }
+    if (!opt.empty()) {
+      return InvalidArgumentError(
+          "OnlineServerConfig: " + opt + " schedules at most " +
+          std::to_string(tsp::kMaxHeldKarpCities) +
+          " requests per batch, but a batch can hold " +
+          std::to_string(max_batch) + " (total_requests = " +
+          std::to_string(config.total_requests) + ", dispatch_max_batch = " +
+          std::to_string(config.dispatch_max_batch) + ", max_wait_cycles = " +
+          std::to_string(config.max_wait_cycles) +
+          "); bound a batch with dispatch_max_batch <= " +
+          std::to_string(tsp::kMaxHeldKarpCities) +
+          " and max_wait_cycles = 0, or with total_requests <= " +
+          std::to_string(tsp::kMaxHeldKarpCities));
+    }
+  }
   return OkStatus();
 }
 
@@ -104,12 +167,10 @@ StatusOr<OnlineServerResult> RunOnlineServer(const tape::LocateModel& model,
   SERPENTINE_RETURN_IF_ERROR(ValidateOnlineServerConfig(config));
   const tape::TapeGeometry& g = model.geometry();
 
-  // Pre-generate the Poisson arrival stream — the exact draw sequence of
-  // RunQueueSimulation — then crank the extracted serving engine through
-  // it. The engine IS the former loop body of this function; feeding it
-  // one arrival at a time reproduces the historical trajectory bit for
-  // bit (the fleet layer drives the same engine, which is what pins a
-  // 1-library fleet to this function's results).
+  // Pre-generate the Poisson arrival stream, then crank the serving
+  // engine through it one arrival at a time (the fleet layer drives the
+  // same engine, which is what pins a 1-library fleet to this function's
+  // results).
   std::vector<ServingRequest> arrivals =
       GenerateOnlineArrivals(config, g.total_segments());
 
@@ -136,38 +197,6 @@ StatusOr<OnlineServerResult> RunOnlineServer(const tape::LocateModel& model,
                              core.clock(),
                              arrivals.empty() ? 0.0 : arrivals[0].time);
   return result;
-}
-
-StatusOr<ReplicatedOnlineServerStats> RunReplicatedOnlineServer(
-    const tape::LocateModel& model, const OnlineServerConfig& config,
-    int replications, int threads) {
-  SERPENTINE_RETURN_IF_ERROR(ValidateOnlineServerConfig(config));
-  ReplicatedOnlineServerStats stats;
-  auto run = [&](int32_t seed) {
-    OnlineServerConfig replica = config;
-    replica.seed = seed;
-    StatusOr<OnlineServerResult> result = RunOnlineServer(model, replica);
-    SERPENTINE_CHECK(result.ok());  // config validated above
-    return std::move(result).value();
-  };
-  SERPENTINE_ASSIGN_OR_RETURN(
-      stats.results,
-      Replicate("RunReplicatedOnlineServer", config.seed, replications,
-                threads, model.SupportsConcurrentUse(), run));
-
-  // Fold in replication order: thread-count invariant.
-  for (const OnlineServerResult& r : stats.results) {
-    stats.mean_response_seconds.Add(r.mean_response_seconds);
-    stats.p99_response_seconds.Add(r.p99_response_seconds);
-    stats.utilization.Add(r.utilization);
-    stats.throughput_per_hour.Add(r.throughput_per_hour);
-    stats.shed_fraction.Add(
-        r.arrivals > 0 ? static_cast<double>(r.shed) / r.arrivals : 0.0);
-    stats.deadline_miss_fraction.Add(
-        r.admitted > 0 ? static_cast<double>(r.deadline_missed) / r.admitted
-                       : 0.0);
-  }
-  return stats;
 }
 
 }  // namespace serpentine::sim

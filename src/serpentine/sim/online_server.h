@@ -1,12 +1,16 @@
-// Online serving with overload resilience: the queue simulator hardened
-// into a service. The paper evaluates isolated batches; ROADMAP item 1
-// targets a continuous-arrival service, and a service must survive what a
-// benchmark never sees — arrival rates past saturation, per-request
-// deadlines, and drives that are having a bad week.
+// Online serving with overload resilience. The paper evaluates isolated
+// batches; a served system must also decide *when* to dispatch a batch
+// while requests keep arriving, and it must survive what a benchmark never
+// sees — arrival rates past saturation, per-request deadlines, and drives
+// that are having a bad week.
 //
-// OnlineServer extends sim::RunQueueSimulation with four layers, every one
-// off by default and every one deterministic (virtual clock + seeded
-// rand48 streams, thread-count invariant):
+// RunOnlineServer runs a Poisson arrival stream against one drive through
+// sim::ServingCore, the library's one serving loop. Its base is a dispatch
+// queue: when the drive is idle and the batch policy fires (enough requests
+// pending, or the oldest has waited long enough), every pending request
+// boards one batch, scheduled by the configured algorithm. Five layers sit
+// on top, every one off by default and every one deterministic (virtual
+// clock + seeded rand48 streams, thread-count invariant):
 //
 //   * priority classes and per-request deadlines, drawn from a rand48
 //     stream *separate* from the arrival stream, so enabling them never
@@ -28,9 +32,9 @@
 //     retry budget.
 //
 // With everything disabled (no deadlines, no admission, no degradation, no
-// breaker, zero faults) the server replays RunQueueSimulation draw for
-// draw and reproduces its results bit-identically — a pinned test holds
-// this equality for any thread count.
+// breaker, zero faults) the server is the plain dispatch queue; a pinned
+// test holds it bit-identical to the queue-simulator loop the repository
+// keeps as a test oracle (tests/queue_sim_reference.h).
 #ifndef SERPENTINE_SIM_ONLINE_SERVER_H_
 #define SERPENTINE_SIM_ONLINE_SERVER_H_
 
@@ -42,10 +46,8 @@
 #include "serpentine/drive/health_drive.h"
 #include "serpentine/sched/scheduler.h"
 #include "serpentine/drive/fault_injector.h"
-#include "serpentine/sim/queue_sim.h"
 #include "serpentine/tape/locate_model.h"
 #include "serpentine/util/retry.h"
-#include "serpentine/util/stats.h"
 #include "serpentine/util/statusor.h"
 
 namespace serpentine::sim {
@@ -89,20 +91,36 @@ struct DegradationPolicy {
 };
 
 struct OnlineServerConfig {
-  /// Base queue-simulation knobs; identical semantics to QueueSimConfig.
+  /// Poisson arrival rate (requests per hour). The unscheduled drive
+  /// saturates near 3600 / E[locate] ≈ 44/h; scheduling raises the
+  /// sustainable rate severalfold.
   double arrival_rate_per_hour = 60.0;
+  /// Simulation length in arrivals. Must stay below 2^32: the per-request
+  /// async-span id packs (seed << 32) | arrival index, and the validator
+  /// rejects lengths that would wrap the index field.
   int64_t total_requests = 400;
+  /// Scheduling algorithm per dispatched batch.
   sched::Algorithm algorithm = sched::Algorithm::kLoss;
   sched::SchedulerOptions scheduler_options;
+  /// Dispatch policy: start service when the drive is idle AND (pending >=
+  /// dispatch_min_batch OR the oldest pending request has waited
+  /// dispatch_max_wait_seconds OR no arrival is left).
   int dispatch_min_batch = 1;
   double dispatch_max_wait_seconds = std::numeric_limits<double>::infinity();
+  /// Seed for arrivals and request positions.
   int32_t seed = 1;
+  /// Drive/media fault process for batch execution. All-zero (the default)
+  /// keeps the exact fault-free execution path; any nonzero rate routes
+  /// batches through the RecoveringExecutor. The fault stream is seeded
+  /// from (faults.seed, seed), so replications decorrelate while staying
+  /// deterministic for any thread count.
   drive::FaultProfile faults;
+  /// Retry/backoff policy used by the recovering executor under faults.
   RetryPolicy fault_retry;
 
   /// Cap on requests dispatched per batch; the rest stay queued (and age).
-  /// 0 = dispatch all pending, the queue-sim behavior. Over-aged requests
-  /// (see max_wait_cycles) are always included even past this cap.
+  /// 0 = dispatch all pending. Over-aged requests (see max_wait_cycles)
+  /// are always included even past this cap.
   int dispatch_max_batch = 0;
 
   /// Number of priority classes; class 0 is the most urgent. When > 1 each
@@ -121,9 +139,9 @@ struct OnlineServerConfig {
   DegradationPolicy degradation;
 
   /// Aging/starvation bound: no admitted request waits more than this many
-  /// dispatch cycles before boarding a batch. 0 = unbounded (queue-sim
-  /// behavior; also the only meaningful setting when dispatch_max_batch is
-  /// 0, since uncapped batches take everything anyway).
+  /// dispatch cycles before boarding a batch. 0 = unbounded (also the only
+  /// meaningful setting when dispatch_max_batch is 0, since uncapped
+  /// batches take everything anyway).
   int max_wait_cycles = 0;
 
   /// Arms a drive::HealthDrive over the execution stack.
@@ -164,7 +182,7 @@ struct OnlineServerResult {
   double max_response_seconds = 0.0;
   double throughput_per_hour = 0.0;
 
-  /// Fault accounting (as QueueSimResult).
+  /// Fault accounting (all zero when OnlineServerConfig::faults is zero).
   int64_t fault_retries = 0;
   int64_t drive_resets = 0;
   int64_t reschedules = 0;
@@ -189,32 +207,18 @@ struct OnlineServerResult {
   std::vector<ShedRecord> shed_records;
 };
 
-/// Rejects NaN/negative/inconsistent configurations (including unknown
-/// degradation-rung names and invalid nested fault/retry/breaker policies)
-/// with a descriptive status.
+/// Rejects NaN/negative/inconsistent configurations with a descriptive
+/// status: a positive finite arrival rate, 1 <= total_requests < 2^32,
+/// dispatch_min_batch >= 1, dispatch_max_wait_seconds > 0 (inf allowed,
+/// NaN not), known degradation-rung names, valid nested fault, retry and
+/// breaker policies, and no OPT scheduler (the algorithm, or a rung) that
+/// a batch of more than tsp::kMaxHeldKarpCities requests can reach.
 Status ValidateOnlineServerConfig(const OnlineServerConfig& config);
 
 /// Runs the online server to completion (every arrival answered or shed).
 /// Fails only on an invalid configuration.
 StatusOr<OnlineServerResult> RunOnlineServer(const tape::LocateModel& model,
                                              const OnlineServerConfig& config);
-
-/// Independent replications, thread-count invariant (same derivation as
-/// RunReplicatedQueueSimulation: replica r reseeds from
-/// DeriveRand48State(config.seed, r), results fold in replica order).
-struct ReplicatedOnlineServerStats {
-  std::vector<OnlineServerResult> results;
-  Accumulator mean_response_seconds;
-  Accumulator p99_response_seconds;
-  Accumulator utilization;
-  Accumulator throughput_per_hour;
-  Accumulator shed_fraction;
-  Accumulator deadline_miss_fraction;
-};
-
-StatusOr<ReplicatedOnlineServerStats> RunReplicatedOnlineServer(
-    const tape::LocateModel& model, const OnlineServerConfig& config,
-    int replications, int threads = 0);
 
 }  // namespace serpentine::sim
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
 #include <numeric>
 #include <string>
 #include <utility>
@@ -19,7 +20,7 @@ namespace {
 
 /// Stream index of the online extras rand48 stream (priorities, deadline
 /// multipliers), derived from config.seed. Any fixed value works; it only
-/// has to differ from the replication indices RunReplicated* uses, and it
+/// has to differ from the replication indices Replicate uses, and it
 /// must never change — the pinned determinism tests depend on it.
 constexpr int64_t kOnlineExtrasStream = 1000003;
 
@@ -30,9 +31,10 @@ std::vector<ServingRequest> GenerateOnlineArrivals(
   const bool deadlines_enabled = std::isfinite(config.deadline_seconds);
   const bool priorities_enabled = config.priority_classes > 1;
 
-  // The exact draw sequence of RunQueueSimulation. Priorities and deadline
-  // multipliers come from a *separate* derived stream, consumed only when
-  // those features are on, so the arrival times and segments never shift.
+  // Per arrival: an exponential gap, then a uniform segment. Priorities and
+  // deadline multipliers come from a *separate* derived stream, consumed
+  // only when those features are on, so the arrival times and segments
+  // never shift.
   Lrand48 rng(config.seed);
   Lrand48 extras_rng;
   extras_rng.SeedState(DeriveRand48State(config.seed, kOnlineExtrasStream));
@@ -137,9 +139,7 @@ ServingCore::ServingCore(std::vector<const tape::LocateModel*> models,
 
   // One Model→Fault stack per cartridge; with the breaker armed a single
   // HealthDrive (the breaker guards the shared physical drive) is
-  // repointed at the mounted cartridge's stack on every switch. With one
-  // cartridge and the breaker disarmed this is exactly RunQueueSimulation's
-  // FaultDrive(ModelDrive).
+  // repointed at the mounted cartridge's stack on every switch.
   base_drives_.reserve(models_.size());
   fault_drives_.reserve(models_.size());
   for (const tape::LocateModel* m : models_) {
@@ -300,7 +300,10 @@ ServingStep ServingCore::Step() {
   if (!stream_done_ && clock_ >= input_bound_) return ServingStep::kNeedInput;
 
   // Dispatch-policy deadline of the oldest pending request, computed once
-  // (see RunQueueSimulation for the ULP rationale).
+  // so the policy test and the idle target below agree bit for bit:
+  // comparing a recomputed `clock_ - front` against the wait bound can
+  // disagree with `front + wait` by one ULP, and the loop would then idle
+  // to a target it never reaches and spin forever.
   double dispatch_deadline = std::numeric_limits<double>::infinity();
   if (!pending_.empty() && std::isfinite(config_.dispatch_max_wait_seconds)) {
     dispatch_deadline =
@@ -331,10 +334,9 @@ ServingStep ServingCore::Step() {
 
 void ServingCore::Dispatch() {
   // ---- batch selection ----
-  // Uncapped: everything pending boards in arrival order (the queue-sim
-  // batch, bit for bit). Capped: over-aged requests board first (the
-  // aging bound beats everything, including the cap), then priority
-  // classes in arrival order.
+  // Uncapped: everything pending boards in arrival order. Capped:
+  // over-aged requests board first (the aging bound beats everything,
+  // including the cap), then priority classes in arrival order.
   size_t depth_at_dispatch = pending_.size();
   std::vector<ServingRequest> members;
   if (config_.dispatch_max_batch <= 0 ||
@@ -465,6 +467,19 @@ void ServingCore::Dispatch() {
           sched::BuildSchedule(model, drive_->Position(), batch,
                                config_.algorithm, config_.scheduler_options);
     }
+    if (!schedule.ok()) {
+      // Validation rules out every build failure it can foresee; say
+      // which batch broke before aborting, so it can be replayed.
+      std::fprintf(
+          stderr,
+          "ServingCore: schedule build failed: %s (scheduler %s at rung %d, "
+          "group of %zu requests on cartridge %d, virtual clock %.17g s, "
+          "seed %d)\n",
+          schedule.status().ToString().c_str(),
+          entry != nullptr ? entry->name.c_str()
+                           : sched::AlgorithmName(config_.algorithm),
+          rung, group.size(), cart, clock_, static_cast<int>(config_.seed));
+    }
     SERPENTINE_CHECK(schedule.ok());
     ExecuteGroup(group, *schedule);
   }
@@ -528,7 +543,7 @@ void ServingCore::ExecuteGroup(const std::vector<ServingRequest>& members,
   // remaining cooldown, so the retry is the admitted half-open probe. Used
   // by the fault-free execution paths (the recovering executor handles
   // kCircuitOpen itself); with the breaker disarmed this is a straight
-  // pass-through and the arithmetic matches RunQueueSimulation exactly.
+  // pass-through.
   auto through_breaker = [&](auto issue) {
     drive::OpResult op = issue();
     if (op.status == drive::OpStatus::kCircuitOpen) {
@@ -541,8 +556,7 @@ void ServingCore::ExecuteGroup(const std::vector<ServingRequest>& members,
     return op;
   };
 
-  // Completion matching by segment, as in RunQueueSimulation, with
-  // deadline-miss accounting layered on. Duplicates resolve to the oldest
+  // Completion matching by segment, with deadline-miss accounting. Duplicates resolve to the oldest
   // unmatched member: (segment, member) pairs sorted once, each answered
   // pair marked, so a completion takes its segment's first unmarked pair —
   // the request the old linear first-undone scan picked, without its

@@ -1,6 +1,6 @@
-// The online-serving state machine, extracted from RunOnlineServer so one
-// identical engine can power both the single-library server and the fleet
-// serving layer (fleet::RunFleet drives one ServingCore per library).
+// The online-serving state machine: the library's one serving loop. It
+// powers both the single-library server and the fleet serving layer
+// (fleet::RunFleet drives one ServingCore per library).
 //
 // The core is a pull-based coroutine-by-hand: the caller feeds routed
 // arrivals with Push() in global time order and cranks Step() until it
@@ -62,9 +62,10 @@ enum class ServingStep {
   kDone,
 };
 
-/// Generates the Poisson arrival stream of RunOnlineServer — the exact
-/// draw sequence of RunQueueSimulation (arrival gap, then a uniform
-/// segment over `segment_space`), with priorities and deadline multipliers
+/// Generates the Poisson arrival stream of RunOnlineServer — per arrival,
+/// an exponential gap, then a uniform segment over `segment_space`, both
+/// from the rand48 stream seeded with config.seed — with priorities and
+/// deadline multipliers
 /// from the separate online-extras stream so enabling them never shifts
 /// arrival times. The fleet passes its logical segment space; the
 /// single-library server passes the tape's total_segments, reproducing its

@@ -10,7 +10,6 @@
 #include "serpentine/store/segment_cache.h"
 #include "serpentine/util/check.h"
 #include "serpentine/util/lrand48.h"
-#include "serpentine/util/replicate.h"
 #include "serpentine/workload/arrival_process.h"
 
 namespace serpentine::stress {
@@ -80,7 +79,8 @@ Status ValidateStressConfig(const StressConfig& config) {
         "StressConfig: cache_capacity must be >= 0 (0 = disabled), got " +
         std::to_string(config.cache_capacity));
   }
-  // total_requests inherits QueueSimConfig's [1, 2^32) id-packing bound.
+  // total_requests inherits ValidateOnlineServerConfig's [1, 2^32)
+  // id-packing bound.
   SERPENTINE_RETURN_IF_ERROR(sim::ValidateOnlineServerConfig(config.serving));
   SERPENTINE_RETURN_IF_ERROR(fleet::ValidateRouterOptions(config.router));
   return OkStatus();
@@ -283,39 +283,6 @@ StatusOr<StressResult> RunStress(const fleet::Fleet& fleet,
   }
   out.fairness_jain = JainIndex(out.tenants);
   return out;
-}
-
-StatusOr<ReplicatedStressStats> RunReplicatedStress(
-    const fleet::Fleet& fleet, const StressConfig& config, int replications,
-    int threads) {
-  SERPENTINE_RETURN_IF_ERROR(ValidateStressConfig(config));
-  SERPENTINE_RETURN_IF_ERROR(
-      fleet::ValidateFleetConfig(fleet, EngineConfig(config)));
-  ReplicatedStressStats stats;
-  auto run = [&](int32_t seed) {
-    StressConfig replica = config;
-    replica.serving.seed = seed;
-    StatusOr<StressResult> result = RunStress(fleet, replica);
-    SERPENTINE_CHECK(result.ok());  // config validated above
-    return std::move(result).value();
-  };
-  SERPENTINE_ASSIGN_OR_RETURN(
-      stats.results,
-      Replicate("RunReplicatedStress", config.serving.seed, replications,
-                threads, fleet.SupportsConcurrentUse(), run));
-
-  // Fold in replica order: thread-count invariant.
-  for (const StressResult& r : stats.results) {
-    stats.p99_response_seconds.Add(r.p99_response_seconds);
-    stats.throughput_per_hour.Add(r.throughput_per_hour);
-    stats.shed_fraction.Add(
-        r.arrivals > 0 ? static_cast<double>(r.shed) / r.arrivals : 0.0);
-    stats.cache_hit_fraction.Add(
-        r.arrivals > 0 ? static_cast<double>(r.cache_hits) / r.arrivals
-                       : 0.0);
-    stats.fairness_jain.Add(r.fairness_jain);
-  }
-  return stats;
 }
 
 }  // namespace serpentine::stress

@@ -20,9 +20,8 @@
 // from three decorrelated rand48 streams derived from one seed; the engine
 // is the pinned deterministic fleet engine; and the harness cranks it to
 // each arrival instant before admitting the arrival, so the whole run is a
-// pure function of the config. RunReplicatedStress is thread-count invariant
-// by the repo-wide recipe (replica r reseeds from DeriveRand48State(seed,
-// r); results fold in replica order).
+// pure function of the config; replicate it with util/replicate.h's
+// Replicate, which keeps replicas thread-count invariant.
 //
 // Latencies are recorded into obs::Histogram (p50/p95/p99/p99.9 within
 // one log₂ bucket, exact min/max — see Histogram::Quantile) rather than a
@@ -38,7 +37,6 @@
 #include "serpentine/fleet/fleet_server.h"
 #include "serpentine/obs/histogram.h"
 #include "serpentine/sim/online_server.h"
-#include "serpentine/util/stats.h"
 #include "serpentine/util/statusor.h"
 
 namespace serpentine::stress {
@@ -140,20 +138,6 @@ Status ValidateStressConfig(const StressConfig& config);
 /// a fleet whose models are {{&model}}.
 StatusOr<StressResult> RunStress(const fleet::Fleet& fleet,
                                  const StressConfig& config);
-
-/// Independent replications, thread-count invariant.
-struct ReplicatedStressStats {
-  std::vector<StressResult> results;
-  Accumulator p99_response_seconds;
-  Accumulator throughput_per_hour;
-  Accumulator shed_fraction;
-  Accumulator cache_hit_fraction;
-  Accumulator fairness_jain;
-};
-
-StatusOr<ReplicatedStressStats> RunReplicatedStress(
-    const fleet::Fleet& fleet, const StressConfig& config, int replications,
-    int threads = 0);
 
 }  // namespace serpentine::stress
 

@@ -1,8 +1,9 @@
 // Independent replications of one seeded experiment, the repo-wide recipe
-// behind every RunReplicated* driver: replica r reseeds from the derived
-// stream DeriveRand48State(seed, r), replicas fan out over the shared pool
-// (or run serially), and each writes only its own result slot, so the
-// results — and anything folded from them in replica order — are
+// for replicating any single-run entry point (sim::RunOnlineServer,
+// fleet::RunFleet, stress::RunStress, ...): replica r reseeds from the
+// derived stream DeriveRand48State(seed, r), replicas fan out over the
+// shared pool (or run serially), and each writes only its own result slot,
+// so the results — and anything folded from them in replica order — are
 // bit-identical for every thread count.
 #ifndef SERPENTINE_UTIL_REPLICATE_H_
 #define SERPENTINE_UTIL_REPLICATE_H_

@@ -10,8 +10,8 @@ namespace {
 constexpr double kPi = 3.14159265358979323846;
 
 /// One exponential draw with the given mean, rand48-exact: the same
-/// -log(1 - U) transform the queue simulator uses, so a PoissonProcess
-/// replays its gap sequence draw for draw.
+/// -log(1 - U) transform sim::GenerateOnlineArrivals uses, so a
+/// PoissonProcess at the same rate draws gaps from the same law.
 double ExpDraw(Lrand48& rng, double mean_seconds) {
   return -std::log(1.0 - rng.NextDouble()) * mean_seconds;
 }

@@ -1,7 +1,8 @@
-// Open-loop arrival processes for the stress harness. The queue simulator
-// bakes a Poisson stream into its own rand48 draws; the stress layer needs
-// richer temporal shapes — diurnal load swings and bursty on/off sources —
-// emitted *incrementally*, so a million-request run never materializes a
+// Open-loop arrival processes for the stress harness. The online server
+// bakes a Poisson stream into its own rand48 draws
+// (sim::GenerateOnlineArrivals); the stress layer needs richer temporal
+// shapes — diurnal load swings and bursty on/off sources — emitted
+// *incrementally*, so a million-request run never materializes a
 // million-entry arrival vector up front.
 //
 // Every process is deterministic per seed (bit-exact rand48 draws), emits

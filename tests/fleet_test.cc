@@ -22,6 +22,7 @@
 #include "serpentine/sim/serving_core.h"
 #include "serpentine/util/check.h"
 #include "serpentine/util/lrand48.h"
+#include "serpentine/util/replicate.h"
 
 namespace serpentine::fleet {
 namespace {
@@ -563,34 +564,39 @@ TEST_F(FleetServerTest, ReplicatedFleetIsThreadCountInvariant) {
   config.serving.total_requests = 50;
   config.serving.faults = drive::FaultProfile::Light();
 
-  auto serial = RunReplicatedFleet(uniform.fleet(), config, 5, /*threads=*/1);
-  auto two = RunReplicatedFleet(uniform.fleet(), config, 5, /*threads=*/2);
-  auto eight = RunReplicatedFleet(uniform.fleet(), config, 5, /*threads=*/8);
+  // Placement (ingest state) is not re-drawn: only the serving seed moves.
+  auto replicated = [&](int threads) {
+    auto run = [&](int32_t seed) {
+      FleetConfig replica = config;
+      replica.serving.seed = seed;
+      return RunFleet(uniform.fleet(), replica).value();
+    };
+    return Replicate("RunFleet", config.serving.seed, 5, threads,
+                     /*concurrent=*/true, run);
+  };
+  auto serial = replicated(/*threads=*/1);
+  auto two = replicated(/*threads=*/2);
+  auto eight = replicated(/*threads=*/8);
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
   ASSERT_TRUE(two.ok());
   ASSERT_TRUE(eight.ok());
-  for (const ReplicatedFleetStats* other : {&*two, &*eight}) {
-    ASSERT_EQ(serial->results.size(), other->results.size());
-    for (size_t r = 0; r < serial->results.size(); ++r) {
-      EXPECT_EQ(serial->results[r].total.completed,
-                other->results[r].total.completed);
-      EXPECT_EQ(serial->results[r].total.p99_response_seconds,
-                other->results[r].total.p99_response_seconds);
-      EXPECT_EQ(serial->results[r].total.makespan_seconds,
-                other->results[r].total.makespan_seconds);
-      EXPECT_EQ(serial->results[r].routed_per_library,
-                other->results[r].routed_per_library);
+  ASSERT_EQ(serial->size(), 5u);
+  for (const std::vector<FleetResult>* other : {&*two, &*eight}) {
+    ASSERT_EQ(serial->size(), other->size());
+    for (size_t r = 0; r < serial->size(); ++r) {
+      const FleetResult& a = (*serial)[r];
+      const FleetResult& b = (*other)[r];
+      EXPECT_EQ(a.total.completed, b.total.completed);
+      EXPECT_EQ(a.total.p99_response_seconds, b.total.p99_response_seconds);
+      EXPECT_EQ(a.total.makespan_seconds, b.total.makespan_seconds);
+      EXPECT_EQ(a.routed_per_library, b.routed_per_library);
+      EXPECT_EQ(a.total.mean_response_seconds,
+                b.total.mean_response_seconds);
+      EXPECT_EQ(a.total.utilization, b.total.utilization);
+      EXPECT_EQ(a.total.shed, b.total.shed);
+      EXPECT_EQ(a.failovers, b.failovers);
     }
-    EXPECT_EQ(serial->mean_response_seconds.mean(),
-              other->mean_response_seconds.mean());
-    EXPECT_EQ(serial->p99_response_seconds.mean(),
-              other->p99_response_seconds.mean());
-    EXPECT_EQ(serial->utilization.mean(), other->utilization.mean());
-    EXPECT_EQ(serial->shed_fraction.mean(), other->shed_fraction.mean());
-    EXPECT_EQ(serial->failover_fraction.mean(),
-              other->failover_fraction.mean());
   }
-  EXPECT_EQ(serial->mean_response_seconds.count(), 5);
 }
 
 TEST_F(FleetServerTest, ValidateRejectsGarbage) {
@@ -629,7 +635,10 @@ TEST_F(FleetServerTest, ValidateRejectsGarbage) {
   EXPECT_EQ(RunFleet(uniform.fleet(), bad).status().code(),
             StatusCode::kInvalidArgument);
 
-  EXPECT_EQ(RunReplicatedFleet(uniform.fleet(), ok, 0).status().code(),
+  // The serving validator's OPT batch bound applies per library.
+  bad = ok;
+  bad.serving.algorithm = sched::Algorithm::kOpt;
+  EXPECT_EQ(ValidateFleetConfig(uniform.fleet(), bad).code(),
             StatusCode::kInvalidArgument);
 }
 

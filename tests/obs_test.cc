@@ -22,9 +22,10 @@
 #include "serpentine/sched/scheduler.h"
 #include "serpentine/sim/executor.h"
 #include "serpentine/sim/experiment.h"
-#include "serpentine/sim/queue_sim.h"
+#include "serpentine/sim/online_server.h"
 #include "serpentine/sim/recovering_executor.h"
 #include "serpentine/util/lrand48.h"
+#include "serpentine/util/replicate.h"
 
 namespace serpentine::obs {
 namespace {
@@ -568,7 +569,7 @@ TEST(DisabledPathTest, RecoveringExecutorUnchangedByObservation) {
 
 TEST(ThreadInvarianceTest, ReplicatedQueueSimPublishesSameTotals) {
   Dlt4000LocateModel model = MakeModel();
-  sim::QueueSimConfig config;
+  sim::OnlineServerConfig config;
   config.arrival_rate_per_hour = 120.0;
   config.total_requests = 40;
   config.dispatch_min_batch = 4;
@@ -577,8 +578,15 @@ TEST(ThreadInvarianceTest, ReplicatedQueueSimPublishesSameTotals) {
   auto totals = [&](int threads) {
     MetricsRegistry registry;
     MetricsRegistry::SetActive(&registry);
-    sim::RunReplicatedQueueSimulation(model, config, /*replications=*/6,
-                                      threads);
+    auto run = [&](int32_t seed) {
+      sim::OnlineServerConfig replica = config;
+      replica.seed = seed;
+      return sim::RunOnlineServer(model, replica).value();
+    };
+    EXPECT_TRUE(Replicate("RunOnlineServer", config.seed,
+                          /*replications=*/6, threads,
+                          model.SupportsConcurrentUse(), run)
+                    .ok());
     MetricsRegistry::SetActive(nullptr);
     return registry.Snapshot();
   };

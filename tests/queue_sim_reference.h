@@ -1,87 +1,100 @@
-#include "serpentine/sim/queue_sim.h"
+// The queue simulator's serving loop, kept as the test oracle for
+// sim::ServingCore.
+//
+// This is the loop the library shipped as sim::RunQueueSimulation before
+// ServingCore became its only serving loop, unchanged apart from its
+// namespace, its dropped validation call (callers pass configs that
+// sim::ValidateOnlineServerConfig accepts) and its dropped obs hooks: a
+// Poisson arrival stream against one drive, dispatched whenever the drive
+// is idle and the batch policy (minimum batch size, maximum wait) fires,
+// every pending request boarding. It is short and obviously faithful to
+// that policy, so sim_online_test.cc requires RunOnlineServer, with every
+// online extension off, to reproduce its results bit for bit.
+#ifndef SERPENTINE_TESTS_QUEUE_SIM_REFERENCE_H_
+#define SERPENTINE_TESTS_QUEUE_SIM_REFERENCE_H_
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
+#include <cstdint>
 #include <deque>
+#include <limits>
 #include <memory>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "serpentine/drive/fault_drive.h"
+#include "serpentine/drive/fault_injector.h"
 #include "serpentine/drive/model_drive.h"
-#include "serpentine/obs/metrics.h"
-#include "serpentine/obs/trace.h"
-#include "serpentine/sched/estimator.h"
+#include "serpentine/sched/scheduler.h"
 #include "serpentine/sim/recovering_executor.h"
+#include "serpentine/tape/locate_model.h"
 #include "serpentine/util/check.h"
 #include "serpentine/util/lrand48.h"
-#include "serpentine/util/replicate.h"
+#include "serpentine/util/retry.h"
 
-namespace serpentine::sim {
-namespace {
+namespace serpentine::sim::reference {
+
+struct QueueSimConfig {
+  /// Poisson arrival rate (requests per hour).
+  double arrival_rate_per_hour = 60.0;
+  /// Simulation length in arrivals.
+  int64_t total_requests = 400;
+  /// Scheduling algorithm per dispatched batch.
+  sched::Algorithm algorithm = sched::Algorithm::kLoss;
+  sched::SchedulerOptions scheduler_options;
+  /// Dispatch policy: start service when the drive is idle AND (pending >=
+  /// dispatch_min_batch OR the oldest pending request has waited
+  /// dispatch_max_wait_seconds). All pending requests join the batch.
+  int dispatch_min_batch = 1;
+  double dispatch_max_wait_seconds = std::numeric_limits<double>::infinity();
+  /// Seed for arrivals and request positions.
+  int32_t seed = 1;
+  /// Drive/media fault process for batch execution. All-zero (the default)
+  /// keeps the exact fault-free execution path; any nonzero rate routes
+  /// batches through the RecoveringExecutor. The fault stream is seeded
+  /// from (faults.seed, seed).
+  drive::FaultProfile faults;
+  /// Retry/backoff policy used by the recovering executor under faults.
+  RetryPolicy fault_retry;
+};
+
+struct QueueSimResult {
+  int64_t completed = 0;
+  int64_t batches = 0;
+  double mean_batch_size = 0.0;
+  double makespan_seconds = 0.0;     ///< arrival of first to last completion
+  double drive_busy_seconds = 0.0;
+  double utilization = 0.0;          ///< busy / makespan
+  double mean_response_seconds = 0.0;
+  double p95_response_seconds = 0.0;
+  double max_response_seconds = 0.0;
+  double throughput_per_hour = 0.0;  ///< completed / makespan
+
+  /// Fault accounting (all zero when QueueSimConfig::faults is zero).
+  /// `failed` requests completed with an error (unreadable media / retry
+  /// exhaustion); they are included in `completed` — the client always gets
+  /// an answer.
+  int64_t failed = 0;
+  int64_t fault_retries = 0;
+  int64_t drive_resets = 0;
+  int64_t reschedules = 0;
+  int64_t permanent_errors = 0;
+  double recovery_seconds = 0.0;
+};
+
+namespace internal {
 
 struct Arrival {
   double time;
   tape::SegmentId segment;
-  /// Async-span id for the request's arrival→completion timeline, unique
-  /// across replications: (run seed << 32) | arrival index.
-  int64_t id;
 };
 
-}  // namespace
+}  // namespace internal
 
-Status ValidateQueueSimConfig(const QueueSimConfig& config) {
-  if (!std::isfinite(config.arrival_rate_per_hour) ||
-      config.arrival_rate_per_hour <= 0.0) {
-    return InvalidArgumentError(
-        "QueueSimConfig: arrival_rate_per_hour must be finite and > 0, got " +
-        std::to_string(config.arrival_rate_per_hour));
-  }
-  if (config.total_requests < 1) {
-    return InvalidArgumentError(
-        "QueueSimConfig: total_requests must be >= 1, got " +
-        std::to_string(config.total_requests));
-  }
-  // The per-request async-span id packs (seed << 32) | arrival index; an
-  // index at or above 2^32 would silently bleed into the seed bits and
-  // alias another run's ids, so reject it here instead.
-  if (config.total_requests >= (int64_t{1} << 32)) {
-    return InvalidArgumentError(
-        "QueueSimConfig: total_requests must be < 2^32 (async-span ids pack "
-        "the arrival index into 32 bits), got " +
-        std::to_string(config.total_requests));
-  }
-  if (config.dispatch_min_batch < 1) {
-    return InvalidArgumentError(
-        "QueueSimConfig: dispatch_min_batch must be >= 1, got " +
-        std::to_string(config.dispatch_min_batch));
-  }
-  // Infinity means "no wait bound" and is the default; NaN and non-positive
-  // waits would make the dispatch policy undecidable.
-  if (std::isnan(config.dispatch_max_wait_seconds) ||
-      config.dispatch_max_wait_seconds <= 0.0) {
-    return InvalidArgumentError(
-        "QueueSimConfig: dispatch_max_wait_seconds must be > 0 (inf = no "
-        "bound), got " +
-        std::to_string(config.dispatch_max_wait_seconds));
-  }
-  SERPENTINE_RETURN_IF_ERROR(drive::ValidateFaultProfile(config.faults));
-  SERPENTINE_RETURN_IF_ERROR(ValidateRetryPolicy(config.fault_retry));
-  return OkStatus();
-}
-
-QueueSimResult RunQueueSimulation(const tape::LocateModel& model,
-                                  const QueueSimConfig& config) {
-  {
-    Status valid = ValidateQueueSimConfig(config);
-    if (!valid.ok()) {
-      std::fprintf(stderr, "RunQueueSimulation: %s\n",
-                   valid.ToString().c_str());
-    }
-    SERPENTINE_CHECK(valid.ok());
-  }
+/// Runs the simulation to completion (all arrivals served).
+inline QueueSimResult RunQueueSimulation(const tape::LocateModel& model,
+                                         const QueueSimConfig& config) {
+  using internal::Arrival;
   const tape::TapeGeometry& g = model.geometry();
 
   // Pre-generate the Poisson arrival stream.
@@ -93,8 +106,7 @@ QueueSimResult RunQueueSimulation(const tape::LocateModel& model,
   for (int64_t i = 0; i < config.total_requests; ++i) {
     double u = rng.NextDouble();
     t += -std::log(1.0 - u) * mean_gap;
-    arrivals.push_back(Arrival{t, rng.NextBounded(g.total_segments()),
-                               (static_cast<int64_t>(config.seed) << 32) | i});
+    arrivals.push_back(Arrival{t, rng.NextBounded(g.total_segments())});
   }
 
   QueueSimResult result;
@@ -125,15 +137,7 @@ QueueSimResult RunQueueSimulation(const tape::LocateModel& model,
     // Admit everything that has arrived by `clock`.
     while (next_arrival < arrivals.size() &&
            arrivals[next_arrival].time <= clock) {
-      const Arrival& a = arrivals[next_arrival++];
-      pending.push_back(a);
-      obs::IncrementCounter("queue.arrivals");
-      if (obs::TraceRecorder* rec = obs::TraceRecorder::active()) {
-        rec->AsyncBegin(obs::TraceClock::kVirtual, "queue", "request", a.id,
-                        a.time);
-        rec->CounterEvent(obs::TraceClock::kVirtual, "queue.depth", a.time,
-                          static_cast<double>(pending.size()));
-      }
+      pending.push_back(arrivals[next_arrival++]);
     }
 
     bool no_more_arrivals = next_arrival >= arrivals.size();
@@ -179,17 +183,10 @@ QueueSimResult RunQueueSimulation(const tape::LocateModel& model,
     SERPENTINE_CHECK(schedule.ok());
     ++result.batches;
     batch_sum += static_cast<double>(members.size());
-    obs::IncrementCounter("queue.batches");
-    obs::ObserveHistogram("queue.batch_size",
-                          static_cast<double>(members.size()));
-    obs::TraceCounter(obs::TraceClock::kVirtual, "queue.depth", clock, 0.0);
-    double dispatch_clock = clock;
 
     // Execute step by step so each request gets a completion stamp.
     // Requests map back to arrivals by segment; duplicates resolve to the
-    // oldest unmatched member (a per-segment FIFO of member indices — the
-    // same request the old linear first-undone scan picked, without the
-    // O(batch²) cost at large batch sizes).
+    // oldest unmatched member (a per-segment FIFO of member indices).
     std::unordered_map<tape::SegmentId, std::deque<size_t>> waiting;
     for (size_t i = 0; i < members.size(); ++i) {
       waiting[members[i].segment].push_back(i);
@@ -202,13 +199,6 @@ QueueSimResult RunQueueSimulation(const tape::LocateModel& model,
       responses.push_back(at - members[i].time);
       ++result.completed;
       if (!ok) ++result.failed;
-      obs::IncrementCounter("queue.completed");
-      if (!ok) obs::IncrementCounter("queue.failed");
-      obs::ObserveHistogram("queue.response_seconds", at - members[i].time);
-      if (obs::TraceRecorder* rec = obs::TraceRecorder::active()) {
-        rec->AsyncEnd(obs::TraceClock::kVirtual, "queue", "request",
-                      members[i].id, at);
-      }
     };
 
     if (injector != nullptr) {
@@ -262,12 +252,6 @@ QueueSimResult RunQueueSimulation(const tape::LocateModel& model,
         complete(r.segment, clock, /*ok=*/true);
       }
     }
-
-    if (obs::TraceRecorder::active() != nullptr) {
-      obs::TraceComplete(obs::TraceClock::kVirtual, "queue", "batch",
-                         dispatch_clock, clock,
-                         "{\"size\":" + std::to_string(members.size()) + "}");
-    }
   }
 
   result.mean_batch_size = batch_sum / result.batches;
@@ -287,30 +271,6 @@ QueueSimResult RunQueueSimulation(const tape::LocateModel& model,
   return result;
 }
 
-ReplicatedQueueSimStats RunReplicatedQueueSimulation(
-    const tape::LocateModel& model, const QueueSimConfig& config,
-    int replications, int threads) {
-  ReplicatedQueueSimStats stats;
-  auto run = [&](int32_t seed) {
-    QueueSimConfig replica = config;
-    replica.seed = seed;
-    return RunQueueSimulation(model, replica);
-  };
-  // value() aborts on replications < 1.
-  stats.results = Replicate("RunReplicatedQueueSimulation", config.seed,
-                            replications, threads,
-                            model.SupportsConcurrentUse(), run)
-                      .value();
+}  // namespace serpentine::sim::reference
 
-  // Fold in replication order: the summary statistics never depend on the
-  // order in which workers finished.
-  for (const QueueSimResult& r : stats.results) {
-    stats.mean_response_seconds.Add(r.mean_response_seconds);
-    stats.p95_response_seconds.Add(r.p95_response_seconds);
-    stats.utilization.Add(r.utilization);
-    stats.throughput_per_hour.Add(r.throughput_per_hour);
-  }
-  return stats;
-}
-
-}  // namespace serpentine::sim
+#endif  // SERPENTINE_TESTS_QUEUE_SIM_REFERENCE_H_

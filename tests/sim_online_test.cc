@@ -3,14 +3,19 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <limits>
 #include <string>
 #include <vector>
 
+#include "queue_sim_reference.h"
 #include "serpentine/obs/trace.h"
-#include "serpentine/sim/queue_sim.h"
+#include "serpentine/sched/estimator.h"
 #include "serpentine/sim/serving_core.h"
+#include "serpentine/tsp/exact.h"
+#include "serpentine/util/lrand48.h"
+#include "serpentine/util/replicate.h"
 
 namespace serpentine::sim {
 
@@ -31,8 +36,9 @@ class OnlineServerTest : public ::testing::Test {
       : model_(tape::TapeGeometry::Generate(tape::Dlt4000TapeParams(), 1),
                tape::Dlt4000Timings()) {}
 
-  static QueueSimConfig AsQueueConfig(const OnlineServerConfig& config) {
-    QueueSimConfig base;
+  static reference::QueueSimConfig AsQueueConfig(
+      const OnlineServerConfig& config) {
+    reference::QueueSimConfig base;
     base.arrival_rate_per_hour = config.arrival_rate_per_hour;
     base.total_requests = config.total_requests;
     base.algorithm = config.algorithm;
@@ -46,10 +52,11 @@ class OnlineServerTest : public ::testing::Test {
   }
 
   /// Asserts the pinned bit-identity: with every online extension off, the
-  /// server reproduces RunQueueSimulation exactly — same completions, same
-  /// stats, to the last bit.
+  /// server reproduces the reference queue-simulator loop exactly — same
+  /// completions, same stats, to the last bit.
   void ExpectBitIdentical(const OnlineServerConfig& config) {
-    QueueSimResult qs = RunQueueSimulation(model_, AsQueueConfig(config));
+    reference::QueueSimResult qs =
+        reference::RunQueueSimulation(model_, AsQueueConfig(config));
     StatusOr<OnlineServerResult> online = RunOnlineServer(model_, config);
     ASSERT_TRUE(online.ok()) << online.status().ToString();
     const OnlineServerResult& r = *online;
@@ -128,20 +135,28 @@ TEST_F(OnlineServerTest, ReplicatedIsThreadCountInvariant) {
   config.breaker.window_ops = 8;
   config.breaker.failure_threshold = 3;
 
-  auto serial = RunReplicatedOnlineServer(model_, config, 6, /*threads=*/1);
-  auto threaded = RunReplicatedOnlineServer(model_, config, 6, /*threads=*/4);
+  auto replicated = [&](int threads) {
+    auto run = [&](int32_t seed) {
+      OnlineServerConfig replica = config;
+      replica.seed = seed;
+      return RunOnlineServer(model_, replica).value();
+    };
+    return Replicate("RunOnlineServer", config.seed, 6, threads,
+                     model_.SupportsConcurrentUse(), run);
+  };
+  auto serial = replicated(/*threads=*/1);
+  auto threaded = replicated(/*threads=*/4);
   ASSERT_TRUE(serial.ok());
   ASSERT_TRUE(threaded.ok());
-  ASSERT_EQ(serial->results.size(), threaded->results.size());
-  for (size_t i = 0; i < serial->results.size(); ++i) {
-    EXPECT_EQ(serial->results[i].completed, threaded->results[i].completed);
-    EXPECT_EQ(serial->results[i].shed, threaded->results[i].shed);
-    EXPECT_EQ(serial->results[i].p99_response_seconds,
-              threaded->results[i].p99_response_seconds);
-    EXPECT_EQ(serial->results[i].breaker_fast_fails,
-              threaded->results[i].breaker_fast_fails);
+  ASSERT_EQ(serial->size(), threaded->size());
+  for (size_t i = 0; i < serial->size(); ++i) {
+    EXPECT_EQ((*serial)[i].completed, (*threaded)[i].completed);
+    EXPECT_EQ((*serial)[i].shed, (*threaded)[i].shed);
+    EXPECT_EQ((*serial)[i].p99_response_seconds,
+              (*threaded)[i].p99_response_seconds);
+    EXPECT_EQ((*serial)[i].breaker_fast_fails,
+              (*threaded)[i].breaker_fast_fails);
   }
-  EXPECT_EQ(serial->shed_fraction.mean(), threaded->shed_fraction.mean());
 }
 
 TEST_F(OnlineServerTest, AdmissionBoundsOverloadResponseTimes) {
@@ -410,8 +425,35 @@ TEST_F(OnlineServerTest, ValidateRejectsGarbageConfigs) {
             StatusCode::kInvalidArgument);
 
   c = ok;
+  c.arrival_rate_per_hour = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(ValidateOnlineServerConfig(c).code(),
+            StatusCode::kInvalidArgument);
+
+  c = ok;
   c.total_requests = 0;
   EXPECT_FALSE(ValidateOnlineServerConfig(c).ok());
+
+  // Async-span ids pack the arrival index into 32 bits.
+  c = ok;
+  c.total_requests = (int64_t{1} << 32) - 1;
+  EXPECT_TRUE(ValidateOnlineServerConfig(c).ok());
+  c.total_requests = int64_t{1} << 32;
+  Status wrap = ValidateOnlineServerConfig(c);
+  EXPECT_EQ(wrap.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(wrap.message().find("2^32"), std::string::npos);
+
+  c = ok;
+  c.dispatch_min_batch = 0;
+  EXPECT_EQ(ValidateOnlineServerConfig(c).code(),
+            StatusCode::kInvalidArgument);
+
+  for (double wait : {std::nan(""), 0.0, -1.0}) {
+    c = ok;
+    c.dispatch_max_wait_seconds = wait;
+    EXPECT_EQ(ValidateOnlineServerConfig(c).code(),
+              StatusCode::kInvalidArgument)
+        << "dispatch_max_wait_seconds = " << wait;
+  }
 
   c = ok;
   c.deadline_seconds = -5.0;
@@ -445,6 +487,98 @@ TEST_F(OnlineServerTest, ValidateRejectsGarbageConfigs) {
   c.breaker_enabled = true;
   c.breaker.window_ops = -1;
   EXPECT_FALSE(ValidateOnlineServerConfig(c).ok());
+}
+
+TEST_F(OnlineServerTest, OptBatchesStayWithinTheHeldKarpLimit) {
+  // OPT refuses a batch of more than tsp::kMaxHeldKarpCities requests and
+  // the serving loop cannot recover from a refused build, so the validator
+  // refuses every config that can hand OPT such a batch. Rejected configs
+  // are only validated: one that slipped through would abort mid-run.
+  OnlineServerConfig opt;
+  opt.algorithm = sched::Algorithm::kOpt;
+  opt.arrival_rate_per_hour = 400.0;
+  opt.total_requests = 200;
+  Status s = ValidateOnlineServerConfig(opt);
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  for (const std::string& named :
+       {std::to_string(tsp::kMaxHeldKarpCities), std::string("total_requests"),
+        std::string("dispatch_max_batch"), std::string("max_wait_cycles")}) {
+    EXPECT_NE(s.message().find(named), std::string::npos)
+        << named << " missing from: " << s.message();
+  }
+
+  // A degradation ladder with an OPT rung is the same hazard.
+  OnlineServerConfig ladder = opt;
+  ladder.algorithm = sched::Algorithm::kLoss;
+  ladder.degradation.enabled = true;
+  ladder.degradation.rungs = {"opt", "fifo"};
+  Status l = ValidateOnlineServerConfig(ladder);
+  EXPECT_EQ(l.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(l.message().find("'opt'"), std::string::npos) << l.message();
+
+  // Under an aging bound, forced boarding can exceed the dispatch cap.
+  OnlineServerConfig aged = opt;
+  aged.dispatch_max_batch = 12;
+  aged.max_wait_cycles = 2;
+  EXPECT_EQ(ValidateOnlineServerConfig(aged).code(),
+            StatusCode::kInvalidArgument);
+
+  // A cap alone bounds every batch, and so does a stream no longer than
+  // the limit; both run to completion.
+  OnlineServerConfig capped = opt;
+  capped.dispatch_max_batch = 12;
+  OnlineServerConfig short_stream = opt;
+  short_stream.total_requests = tsp::kMaxHeldKarpCities;
+  for (const OnlineServerConfig* config : {&capped, &short_stream}) {
+    StatusOr<OnlineServerResult> r = RunOnlineServer(model_, *config);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->arrivals, config->total_requests);
+    EXPECT_EQ(r->shed + r->completed + r->failed, r->arrivals);
+  }
+}
+
+TEST_F(OnlineServerTest, SaturatedFifoServesAtTheMeanServiceRate) {
+  // A saturated FIFO drive never idles, and each service is a locate from
+  // where the previous read left the head to an independent uniform
+  // segment, then a one-segment read. So its throughput is 3600 / E[that],
+  // a property of the locate model alone (about 82.5 s, or 43.6/h, on
+  // this tape). Estimate it by Monte Carlo on a stream unrelated to the
+  // arrivals, and hold the serving loop to it: unlike the bit-identity
+  // pins above, this catches a wrong answer the loop and the reference
+  // share.
+  const tape::TapeGeometry& g = model_.geometry();
+  Lrand48 rng(424242);
+  constexpr int kPairs = 200000;
+  double service_seconds = 0.0;
+  for (int i = 0; i < kPairs; ++i) {
+    tape::SegmentId read = rng.NextBounded(g.total_segments());
+    tape::SegmentId next = rng.NextBounded(g.total_segments());
+    service_seconds += model_.LocateSeconds(
+        sched::OutPosition(g, sched::Request{read, 1}), next);
+    service_seconds += model_.ReadSeconds(next, next);
+  }
+  const double law_per_hour = 3600.0 / (service_seconds / kPairs);
+
+  OnlineServerConfig uncapped;
+  uncapped.algorithm = sched::Algorithm::kFifo;
+  uncapped.arrival_rate_per_hour = 130.0;  // 3x saturation
+  uncapped.total_requests = 8000;
+  OnlineServerConfig capped = uncapped;  // overload-fifo's caps
+  capped.admission.enabled = true;
+  capped.admission.max_queue_depth = 256;
+  capped.dispatch_max_batch = 64;
+  for (const OnlineServerConfig* base : {&uncapped, &capped}) {
+    for (int32_t seed = 1; seed <= 5; ++seed) {
+      OnlineServerConfig config = *base;
+      config.seed = seed;
+      StatusOr<OnlineServerResult> r = RunOnlineServer(model_, config);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      EXPECT_NEAR(r->throughput_per_hour / law_per_hour, 1.0, 0.04)
+          << (base == &capped ? "capped" : "uncapped") << ", seed " << seed
+          << ": " << r->throughput_per_hour << "/h against the law's "
+          << law_per_hour << "/h";
+    }
+  }
 }
 
 }  // namespace

@@ -4,10 +4,14 @@
 // CPU measurement is allowed to move.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "serpentine/sim/experiment.h"
+#include "serpentine/sim/online_server.h"
 #include "serpentine/sim/physical_drive.h"
-#include "serpentine/sim/queue_sim.h"
 #include "serpentine/tape/locate_model.h"
+#include "serpentine/util/replicate.h"
 
 namespace serpentine::sim {
 namespace {
@@ -23,6 +27,21 @@ class SimParallelTest : public ::testing::Test {
   SimParallelTest()
       : model_(TapeGeometry::Generate(Dlt4000TapeParams(), 1),
                Dlt4000Timings()) {}
+
+  /// Replica r of `config` on the seed Replicate derives for it.
+  std::vector<OnlineServerResult> Replicated(const OnlineServerConfig& config,
+                                             int replications,
+                                             int threads = 0) const {
+    auto run = [&](int32_t seed) {
+      OnlineServerConfig replica = config;
+      replica.seed = seed;
+      return RunOnlineServer(model_, replica).value();
+    };
+    return Replicate("RunOnlineServer", config.seed, replications, threads,
+                     model_.SupportsConcurrentUse(), run)
+        .value();
+  }
+
   Dlt4000LocateModel model_;
 };
 
@@ -119,51 +138,48 @@ TEST_F(SimParallelTest, ModelsWithoutConcurrentUseFallBackToSerial) {
 }
 
 TEST_F(SimParallelTest, ReplicatedQueueSimBitIdenticalAcrossThreadCounts) {
-  QueueSimConfig config;
+  OnlineServerConfig config;
   config.arrival_rate_per_hour = 240.0;
   config.total_requests = 60;
   config.algorithm = sched::Algorithm::kLoss;
   config.dispatch_min_batch = 8;
   config.seed = 9;
 
-  ReplicatedQueueSimStats serial =
-      RunReplicatedQueueSimulation(model_, config, 6, /*threads=*/1);
+  std::vector<OnlineServerResult> serial =
+      Replicated(config, 6, /*threads=*/1);
   for (int threads : {2, 8}) {
-    ReplicatedQueueSimStats parallel =
-        RunReplicatedQueueSimulation(model_, config, 6, threads);
+    std::vector<OnlineServerResult> parallel =
+        Replicated(config, 6, threads);
     SCOPED_TRACE(threads);
-    ASSERT_EQ(parallel.results.size(), serial.results.size());
-    for (size_t r = 0; r < serial.results.size(); ++r) {
-      EXPECT_EQ(parallel.results[r].mean_response_seconds,
-                serial.results[r].mean_response_seconds);
-      EXPECT_EQ(parallel.results[r].throughput_per_hour,
-                serial.results[r].throughput_per_hour);
-      EXPECT_EQ(parallel.results[r].batches, serial.results[r].batches);
+    ASSERT_EQ(parallel.size(), serial.size());
+    for (size_t r = 0; r < serial.size(); ++r) {
+      EXPECT_EQ(parallel[r].mean_response_seconds,
+                serial[r].mean_response_seconds);
+      EXPECT_EQ(parallel[r].throughput_per_hour,
+                serial[r].throughput_per_hour);
+      EXPECT_EQ(parallel[r].batches, serial[r].batches);
+      EXPECT_EQ(parallel[r].utilization, serial[r].utilization);
+      EXPECT_EQ(parallel[r].p95_response_seconds,
+                serial[r].p95_response_seconds);
     }
-    EXPECT_EQ(parallel.mean_response_seconds.mean(),
-              serial.mean_response_seconds.mean());
-    EXPECT_EQ(parallel.mean_response_seconds.stddev(),
-              serial.mean_response_seconds.stddev());
-    EXPECT_EQ(parallel.throughput_per_hour.mean(),
-              serial.throughput_per_hour.mean());
-    EXPECT_EQ(parallel.utilization.mean(), serial.utilization.mean());
-    EXPECT_EQ(parallel.p95_response_seconds.mean(),
-              serial.p95_response_seconds.mean());
   }
 }
 
 TEST_F(SimParallelTest, ReplicationsAreDecorrelated) {
-  QueueSimConfig config;
+  OnlineServerConfig config;
   config.arrival_rate_per_hour = 240.0;
   config.total_requests = 40;
   config.dispatch_min_batch = 4;
   config.seed = 2;
-  ReplicatedQueueSimStats stats =
-      RunReplicatedQueueSimulation(model_, config, 4);
-  ASSERT_EQ(stats.results.size(), 4u);
+  std::vector<OnlineServerResult> results = Replicated(config, 4);
+  ASSERT_EQ(results.size(), 4u);
   // Different derived seeds: replications should not all coincide.
-  EXPECT_GT(stats.mean_response_seconds.stddev(), 0.0);
-  EXPECT_EQ(stats.mean_response_seconds.count(), 4);
+  bool any_difference = false;
+  for (const OnlineServerResult& r : results) {
+    any_difference |=
+        r.mean_response_seconds != results[0].mean_response_seconds;
+  }
+  EXPECT_TRUE(any_difference);
 }
 
 }  // namespace

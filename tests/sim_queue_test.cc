@@ -1,6 +1,14 @@
-#include "serpentine/sim/queue_sim.h"
-
+// The dispatch queue (Poisson arrivals, a batch policy of minimum size
+// and maximum wait, every pending request boarding) through
+// RunOnlineServer with every online extension off.
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "serpentine/sim/online_server.h"
+#include "serpentine/util/replicate.h"
 
 namespace serpentine::sim {
 
@@ -20,15 +28,36 @@ class QueueSimTest : public ::testing::Test {
   QueueSimTest()
       : model_(tape::TapeGeometry::Generate(tape::Dlt4000TapeParams(), 1),
                tape::Dlt4000Timings()) {}
+
+  OnlineServerResult Run(const OnlineServerConfig& config) const {
+    StatusOr<OnlineServerResult> r = RunOnlineServer(model_, config);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    return r.ok() ? *r : OnlineServerResult{};
+  }
+
+  /// Replica r of `config` on the seed Replicate derives for it.
+  std::vector<OnlineServerResult> Replicated(const OnlineServerConfig& config,
+                                             int replications,
+                                             int threads) const {
+    auto run = [&](int32_t seed) {
+      OnlineServerConfig replica = config;
+      replica.seed = seed;
+      return RunOnlineServer(model_, replica).value();
+    };
+    return Replicate("RunOnlineServer", config.seed, replications, threads,
+                     model_.SupportsConcurrentUse(), run)
+        .value();
+  }
+
   tape::Dlt4000LocateModel model_;
 };
 
 TEST_F(QueueSimTest, CompletesEveryRequestAndInvariantsHold) {
-  QueueSimConfig config;
+  OnlineServerConfig config;
   config.total_requests = 120;
   config.arrival_rate_per_hour = 40.0;
-  QueueSimResult r = RunQueueSimulation(model_, config);
-  EXPECT_EQ(r.completed, 120);
+  OnlineServerResult r = Run(config);
+  EXPECT_EQ(r.completed + r.failed, 120);
   EXPECT_GT(r.batches, 0);
   EXPECT_GE(r.mean_batch_size, 1.0);
   EXPECT_GT(r.makespan_seconds, 0.0);
@@ -40,19 +69,19 @@ TEST_F(QueueSimTest, CompletesEveryRequestAndInvariantsHold) {
 }
 
 TEST_F(QueueSimTest, DeterministicPerSeed) {
-  QueueSimConfig config;
+  OnlineServerConfig config;
   config.total_requests = 60;
-  QueueSimResult a = RunQueueSimulation(model_, config);
-  QueueSimResult b = RunQueueSimulation(model_, config);
+  OnlineServerResult a = Run(config);
+  OnlineServerResult b = Run(config);
   EXPECT_DOUBLE_EQ(a.mean_response_seconds, b.mean_response_seconds);
   EXPECT_EQ(a.batches, b.batches);
 }
 
 TEST_F(QueueSimTest, LightLoadImmediateDispatchHasSmallBatches) {
-  QueueSimConfig config;
+  OnlineServerConfig config;
   config.arrival_rate_per_hour = 10.0;  // far below saturation
   config.total_requests = 60;
-  QueueSimResult r = RunQueueSimulation(model_, config);
+  OnlineServerResult r = Run(config);
   EXPECT_LT(r.mean_batch_size, 2.0);
   // Response ≈ one random locate + read: around 80 s, plus rare queueing.
   EXPECT_LT(r.mean_response_seconds, 250.0);
@@ -60,17 +89,17 @@ TEST_F(QueueSimTest, LightLoadImmediateDispatchHasSmallBatches) {
 
 TEST_F(QueueSimTest, OverloadWithFifoQueuesUnboundedly) {
   // 80/hour exceeds FIFO's ~44/hour service rate: waits blow up.
-  QueueSimConfig fifo;
+  OnlineServerConfig fifo;
   fifo.arrival_rate_per_hour = 80.0;
   fifo.total_requests = 200;
   fifo.algorithm = sched::Algorithm::kFifo;
-  QueueSimResult r_fifo = RunQueueSimulation(model_, fifo);
+  OnlineServerResult r_fifo = Run(fifo);
 
   // LOSS with dispatch batching sustains it comfortably.
-  QueueSimConfig loss = fifo;
+  OnlineServerConfig loss = fifo;
   loss.algorithm = sched::Algorithm::kLoss;
   loss.dispatch_min_batch = 16;
-  QueueSimResult r_loss = RunQueueSimulation(model_, loss);
+  OnlineServerResult r_loss = Run(loss);
 
   EXPECT_LT(r_loss.mean_response_seconds,
             r_fifo.mean_response_seconds * 0.5);
@@ -78,26 +107,26 @@ TEST_F(QueueSimTest, OverloadWithFifoQueuesUnboundedly) {
 }
 
 TEST_F(QueueSimTest, MinBatchRaisesBatchSizeAndEfficiency) {
-  QueueSimConfig small;
+  OnlineServerConfig small;
   small.arrival_rate_per_hour = 60.0;
   small.total_requests = 150;
   small.dispatch_min_batch = 1;
-  QueueSimConfig large = small;
+  OnlineServerConfig large = small;
   large.dispatch_min_batch = 32;
-  QueueSimResult r_small = RunQueueSimulation(model_, small);
-  QueueSimResult r_large = RunQueueSimulation(model_, large);
+  OnlineServerResult r_small = Run(small);
+  OnlineServerResult r_large = Run(large);
   EXPECT_GT(r_large.mean_batch_size, r_small.mean_batch_size);
   EXPECT_LT(r_large.drive_busy_seconds, r_small.drive_busy_seconds);
 }
 
 TEST_F(QueueSimTest, MaxWaitBoundsResponseUnderLightLoad) {
-  QueueSimConfig config;
+  OnlineServerConfig config;
   config.arrival_rate_per_hour = 20.0;
   config.total_requests = 80;
   config.dispatch_min_batch = 1000;          // never fires on size...
   config.dispatch_max_wait_seconds = 1800.0;  // ...so the wait bound rules
-  QueueSimResult r = RunQueueSimulation(model_, config);
-  EXPECT_EQ(r.completed, 80);
+  OnlineServerResult r = Run(config);
+  EXPECT_EQ(r.completed + r.failed, 80);
   // The oldest request in each batch waited ~1800 s plus service.
   EXPECT_GT(r.mean_batch_size, 5.0);
   EXPECT_LT(r.p95_response_seconds, 1800.0 + 4000.0);
@@ -106,28 +135,28 @@ TEST_F(QueueSimTest, MaxWaitBoundsResponseUnderLightLoad) {
 TEST_F(QueueSimTest, DenseOverloadFallsBackSanely) {
   // Very high arrival rate: batches grow huge; the system must still
   // complete everything with bounded per-request busy time.
-  QueueSimConfig config;
+  OnlineServerConfig config;
   config.arrival_rate_per_hour = 2000.0;
   config.total_requests = 600;
   config.dispatch_min_batch = 64;
   config.scheduler_options.loss_coalesce_threshold =
       sched::kDefaultCoalesceThreshold;
-  QueueSimResult r = RunQueueSimulation(model_, config);
-  EXPECT_EQ(r.completed, 600);
-  EXPECT_LT(r.drive_busy_seconds / r.completed, 40.0);
+  OnlineServerResult r = Run(config);
+  EXPECT_EQ(r.completed + r.failed, 600);
+  EXPECT_LT(r.drive_busy_seconds / (r.completed + r.failed), 40.0);
 }
 
 // ---------------------------------------------------------------------------
-// Fault injection through the queue simulation.
+// Fault injection through the dispatch queue.
 // ---------------------------------------------------------------------------
 
 TEST_F(QueueSimTest, ZeroFaultProfileKeepsTheFaultFreePath) {
-  QueueSimConfig clean;
+  OnlineServerConfig clean;
   clean.total_requests = 100;
-  QueueSimConfig with_none = clean;
+  OnlineServerConfig with_none = clean;
   with_none.faults = FaultProfile::None();
-  QueueSimResult a = RunQueueSimulation(model_, clean);
-  QueueSimResult b = RunQueueSimulation(model_, with_none);
+  OnlineServerResult a = Run(clean);
+  OnlineServerResult b = Run(with_none);
   EXPECT_EQ(a.mean_response_seconds, b.mean_response_seconds);
   EXPECT_EQ(a.drive_busy_seconds, b.drive_busy_seconds);
   EXPECT_EQ(b.fault_retries, 0);
@@ -135,16 +164,16 @@ TEST_F(QueueSimTest, ZeroFaultProfileKeepsTheFaultFreePath) {
 }
 
 TEST_F(QueueSimTest, FaultsCompleteEveryRequestAndOnlyAddTime) {
-  QueueSimConfig clean;
+  OnlineServerConfig clean;
   clean.total_requests = 150;
   clean.dispatch_min_batch = 8;
-  QueueSimConfig faulty = clean;
+  OnlineServerConfig faulty = clean;
   faulty.faults = FaultProfile::Heavy();
-  QueueSimResult c = RunQueueSimulation(model_, clean);
-  QueueSimResult f = RunQueueSimulation(model_, faulty);
+  OnlineServerResult c = Run(clean);
+  OnlineServerResult f = Run(faulty);
   // Every request still gets an answer (served or reported failed)...
-  EXPECT_EQ(f.completed, 150);
-  EXPECT_LE(f.failed, f.completed);
+  EXPECT_EQ(f.completed + f.failed, 150);
+  EXPECT_LE(f.failed, f.completed + f.failed);
   // ...and faults can only cost drive time, never save it.
   EXPECT_GT(f.drive_busy_seconds, c.drive_busy_seconds);
   EXPECT_GT(f.fault_retries + f.drive_resets + f.permanent_errors, 0);
@@ -152,47 +181,41 @@ TEST_F(QueueSimTest, FaultsCompleteEveryRequestAndOnlyAddTime) {
 }
 
 TEST_F(QueueSimTest, FaultStatisticsAreThreadCountInvariant) {
-  QueueSimConfig config;
+  OnlineServerConfig config;
   config.total_requests = 60;
   config.dispatch_min_batch = 8;
   config.faults = FaultProfile::Heavy();
-  ReplicatedQueueSimStats serial =
-      RunReplicatedQueueSimulation(model_, config, 6, /*threads=*/1);
-  ReplicatedQueueSimStats parallel =
-      RunReplicatedQueueSimulation(model_, config, 6, /*threads=*/4);
-  ASSERT_EQ(serial.results.size(), parallel.results.size());
-  for (size_t r = 0; r < serial.results.size(); ++r) {
-    EXPECT_EQ(serial.results[r].mean_response_seconds,
-              parallel.results[r].mean_response_seconds)
+  std::vector<OnlineServerResult> serial =
+      Replicated(config, 6, /*threads=*/1);
+  std::vector<OnlineServerResult> parallel =
+      Replicated(config, 6, /*threads=*/4);
+  ASSERT_EQ(serial.size(), parallel.size());
+  for (size_t r = 0; r < serial.size(); ++r) {
+    EXPECT_EQ(serial[r].mean_response_seconds,
+              parallel[r].mean_response_seconds)
         << "replication " << r;
-    EXPECT_EQ(serial.results[r].drive_busy_seconds,
-              parallel.results[r].drive_busy_seconds)
+    EXPECT_EQ(serial[r].drive_busy_seconds, parallel[r].drive_busy_seconds)
         << "replication " << r;
-    EXPECT_EQ(serial.results[r].fault_retries,
-              parallel.results[r].fault_retries)
+    EXPECT_EQ(serial[r].fault_retries, parallel[r].fault_retries)
         << "replication " << r;
-    EXPECT_EQ(serial.results[r].failed, parallel.results[r].failed)
+    EXPECT_EQ(serial[r].failed, parallel[r].failed) << "replication " << r;
+    EXPECT_EQ(serial[r].utilization, parallel[r].utilization)
         << "replication " << r;
   }
-  EXPECT_EQ(serial.mean_response_seconds.mean(),
-            parallel.mean_response_seconds.mean());
-  EXPECT_EQ(serial.utilization.mean(), parallel.utilization.mean());
 }
 
 TEST_F(QueueSimTest, ReplicationsDrawDecorrelatedFaultStreams) {
-  QueueSimConfig config;
+  OnlineServerConfig config;
   config.total_requests = 80;
   config.dispatch_min_batch = 8;
   config.faults = FaultProfile::Heavy();
-  ReplicatedQueueSimStats stats =
-      RunReplicatedQueueSimulation(model_, config, 4, 1);
+  std::vector<OnlineServerResult> results = Replicated(config, 4, 1);
   // Different replications see different arrival AND fault streams; their
   // recovery accounting should not be identical across the board.
   bool any_difference = false;
-  for (size_t r = 1; r < stats.results.size(); ++r) {
-    if (stats.results[r].fault_retries != stats.results[0].fault_retries ||
-        stats.results[r].recovery_seconds !=
-            stats.results[0].recovery_seconds) {
+  for (size_t r = 1; r < results.size(); ++r) {
+    if (results[r].fault_retries != results[0].fault_retries ||
+        results[r].recovery_seconds != results[0].recovery_seconds) {
       any_difference = true;
     }
   }
@@ -202,12 +225,12 @@ TEST_F(QueueSimTest, ReplicationsDrawDecorrelatedFaultStreams) {
 TEST_F(QueueSimTest, RejectsRequestCountsThatOverflowSpanIds) {
   // Async-span ids pack the arrival index into the low 32 bits of
   // (seed << 32) | index; 2^32 arrivals would wrap into the seed field.
-  QueueSimConfig config;
+  OnlineServerConfig config;
   config.total_requests = (int64_t{1} << 32) - 1;
-  EXPECT_TRUE(ValidateQueueSimConfig(config).ok());
+  EXPECT_TRUE(ValidateOnlineServerConfig(config).ok());
 
   config.total_requests = int64_t{1} << 32;
-  Status s = ValidateQueueSimConfig(config);
+  Status s = ValidateOnlineServerConfig(config);
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(s.ToString().find("2^32"), std::string::npos);
 }

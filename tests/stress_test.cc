@@ -5,6 +5,7 @@
 
 #include "gtest/gtest.h"
 #include "serpentine/tape/locate_model.h"
+#include "serpentine/util/replicate.h"
 
 namespace serpentine::stress {
 namespace {
@@ -176,21 +177,28 @@ TEST(StressTest, ReplicatedStatsAreThreadCountInvariant) {
   tape::HelicalLocateModel model = TinyModel();
   StressConfig config = BaseConfig();
   config.serving.total_requests = 500;
-  auto serial = RunReplicatedStress(OneLibrary(model), config, 6,
-                                    /*threads=*/1);
-  auto parallel = RunReplicatedStress(OneLibrary(model), config, 6,
-                                      /*threads=*/4);
+  auto replicated = [&](int threads) {
+    auto run = [&](int32_t seed) {
+      StressConfig replica = config;
+      replica.serving.seed = seed;
+      return RunStress(OneLibrary(model), replica).value();
+    };
+    return Replicate("RunStress", config.serving.seed, 6, threads,
+                     model.SupportsConcurrentUse(), run);
+  };
+  auto serial = replicated(/*threads=*/1);
+  auto parallel = replicated(/*threads=*/4);
   ASSERT_TRUE(serial.ok() && parallel.ok());
-  EXPECT_DOUBLE_EQ(serial->p99_response_seconds.mean(),
-                   parallel->p99_response_seconds.mean());
-  EXPECT_DOUBLE_EQ(serial->throughput_per_hour.mean(),
-                   parallel->throughput_per_hour.mean());
-  EXPECT_DOUBLE_EQ(serial->shed_fraction.mean(),
-                   parallel->shed_fraction.mean());
-  EXPECT_DOUBLE_EQ(serial->fairness_jain.mean(),
-                   parallel->fairness_jain.mean());
+  ASSERT_EQ(serial->size(), 6u);
+  ASSERT_EQ(parallel->size(), 6u);
   for (int r = 0; r < 6; ++r) {
-    EXPECT_EQ(serial->results[r].completed, parallel->results[r].completed);
+    const StressResult& a = (*serial)[r];
+    const StressResult& b = (*parallel)[r];
+    EXPECT_EQ(a.completed, b.completed);
+    EXPECT_EQ(a.p99_response_seconds, b.p99_response_seconds);
+    EXPECT_EQ(a.throughput_per_hour, b.throughput_per_hour);
+    EXPECT_EQ(a.shed, b.shed);
+    EXPECT_EQ(a.fairness_jain, b.fairness_jain);
   }
 }
 
@@ -203,9 +211,7 @@ TEST(StressTest, RejectsAnInvalidFleet) {
             StatusCode::kInvalidArgument);
   fleet::Fleet null_model;
   null_model.models = {{nullptr}};
-  EXPECT_EQ(RunReplicatedStress(null_model, config, 2).status().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(RunReplicatedStress(OneLibrary(model), config, 0).status().code(),
+  EXPECT_EQ(RunStress(null_model, config).status().code(),
             StatusCode::kInvalidArgument);
 }
 
@@ -222,8 +228,8 @@ TEST(StressTest, ValidationRejectsGarbage) {
   config.cache_capacity = -1;
   EXPECT_FALSE(ValidateStressConfig(config).ok());
 
-  // The id-packing bound flows through from QueueSimConfig: 2^32 arrivals
-  // would wrap the 32-bit index field of (seed << 32) | index.
+  // The id-packing bound flows through from ValidateOnlineServerConfig:
+  // 2^32 arrivals would wrap the 32-bit index field of (seed << 32) | index.
   config = BaseConfig();
   config.serving.total_requests = int64_t{1} << 32;
   Status s = ValidateStressConfig(config);

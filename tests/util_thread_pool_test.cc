@@ -1,10 +1,14 @@
 #include "serpentine/util/thread_pool.h"
 
 #include <atomic>
+#include <cstdint>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
+
+#include "serpentine/util/replicate.h"
 
 #include <gtest/gtest.h>
 
@@ -113,6 +117,24 @@ TEST(ParallelForTest, ResultIndependentOfWorkerCount) {
   }
   EXPECT_EQ(runs[0], runs[1]);
   EXPECT_EQ(runs[0], runs[2]);
+}
+
+TEST(ReplicateTest, ZeroReplicationsNameTheDriver) {
+  int runs = 0;
+  auto run = [&](int32_t seed) {
+    ++runs;
+    return seed;
+  };
+  for (int replications : {0, -3}) {
+    StatusOr<std::vector<int32_t>> none =
+        Replicate("RunSomething", /*seed=*/7, replications, /*threads=*/1,
+                  /*concurrent=*/true, run);
+    EXPECT_EQ(none.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(none.status().message().find("RunSomething"),
+              std::string::npos)
+        << none.status().message();
+  }
+  EXPECT_EQ(runs, 0);
 }
 
 }  // namespace
