@@ -80,6 +80,10 @@ void MeteredDrive::Observe(const OpResult& r) {
     case OpStatus::kPermanentMediaError:
       ++metrics_.permanent_errors;
       break;
+    case OpStatus::kCircuitOpen:
+      // A breaker refusal is not a drive fault; its charged wait already
+      // landed in recovery_seconds above.
+      break;
   }
 }
 

@@ -1,7 +1,6 @@
 // ModelDrive: the base of every drive stack — a stateful head over any
 // tape::LocateModel. Wraps the believed Dlt4000LocateModel for estimates,
-// a CachedLocateModel for zero-recomputation planning sessions, a
-// PerturbedLocateModel for the Fig 10 sensitivity runs, or a
+// a PerturbedLocateModel for the Fig 10 sensitivity runs, or a
 // sim::PhysicalDrive for "measured" execution.
 #ifndef SERPENTINE_DRIVE_MODEL_DRIVE_H_
 #define SERPENTINE_DRIVE_MODEL_DRIVE_H_

@@ -213,12 +213,9 @@ Placement PlacementOptimizer::Optimize(const HeatMap& heat,
   for (int64_t s = 0; s < g_count; ++s) {
     tape::SegmentId mid = std::min<tape::SegmentId>(
         s * gs + gs / 2, heat.total_segments() - 1);
-    double p_dst = model_.geometry().PhysicalPosition(mid);
-    int track = model_.geometry().TrackOf(mid);
-    int r_kp = std::max(0, model_.geometry().ReadingSectionOf(mid) - 1);
-    double p_kp = model_.geometry().KeyPointPhysical(track, r_kp);
-    window_lo[s] = bin_at(std::min(p_kp, p_dst));
-    window_hi[s] = bin_at(std::max(p_kp, p_dst));
+    const tape::Dlt4000LocateModel::Endpoint e = model_.EndpointOf(mid);
+    window_lo[s] = bin_at(std::min(e.key_point, e.position));
+    window_hi[s] = bin_at(std::max(e.key_point, e.position));
   }
   // The load a group projects is its per-batch *visit* rate, not its raw
   // heat: the scheduler reads through a visited section in ascending

@@ -49,17 +49,16 @@ std::vector<Request> ScheduleSparseLoss(const tape::LocateModel& model,
                                         tape::SegmentId initial,
                                         std::vector<Request> requests,
                                         int64_t coalesce_threshold,
-                                        int edges_per_city, int workers);
+                                        int workers);
 
 /// Partitioned parallel LOSS ("loss-mt"): contiguous fragments of
 /// `partition_size` coalesced groups are each solved as an independent
-/// pinned-start LOSS path (in parallel when the cost source is
-/// thread-safe), then stitched by a dense LOSS over one contracted city
-/// per fragment. The fragment layout depends only on the group count, so
-/// the result is bit-identical for any `workers`; batches of at most
-/// `partition_size` groups fall back to plain dense LOSS exactly.
-/// `partition_size` <= 0 selects kDefaultLossPartitionSize; `workers` 0
-/// resolves via ResolveThreadCount.
+/// pinned-start LOSS path (in parallel when the model supports concurrent
+/// use), then stitched by a dense LOSS over one contracted city per
+/// fragment. The fragment layout depends only on the group count, so the
+/// result is bit-identical for any `workers`; batches of at most
+/// `partition_size` (> 0) groups fall back to plain LOSS exactly.
+/// `workers` 0 resolves via ResolveThreadCount.
 std::vector<Request> ScheduleLossPartitioned(const tape::LocateModel& model,
                                              tape::SegmentId initial,
                                              std::vector<Request> requests,

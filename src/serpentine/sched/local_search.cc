@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <optional>
-#include <typeinfo>
 #include <utility>
 #include <vector>
 
 #include "serpentine/sched/estimator.h"
-#include "serpentine/tape/locate_cache.h"
 #include "serpentine/tsp/locate_cost.h"
 #include "serpentine/util/check.h"
 
@@ -18,41 +15,22 @@ namespace {
 /// Node-indexed edge pricing for one batch: node 0 is the start position,
 /// nodes 1..n are the requests under their ORIGINAL order indices, so both
 /// search implementations can address edges by stable node id and costs
-/// follow requests through relocations. A Dlt4000 model is priced by the
-/// SoA kernel (pure arithmetic, cheaper than a hash lookup); every other
-/// model goes through a per-batch cache so each distinct (from, to) pair
-/// is planned at most once no matter how many passes revisit it.
-class BatchEdgeCosts {
- public:
-  BatchEdgeCosts(const tape::LocateModel& model, const Schedule& schedule) {
-    const tape::TapeGeometry& g = model.geometry();
-    const int n = static_cast<int>(schedule.order.size());
-    std::vector<tape::SegmentId> out(n + 1);
-    std::vector<tape::SegmentId> in(n + 1);
-    out[0] = schedule.initial_position;
-    in[0] = schedule.initial_position;  // node 0 never receives an edge
-    for (int k = 0; k < n; ++k) {
-      out[k + 1] = OutPosition(g, schedule.order[k]);
-      in[k + 1] = schedule.order[k].segment;
-    }
-    if (typeid(model) == typeid(tape::Dlt4000LocateModel)) {
-      soa_.emplace(model, std::move(out), std::move(in));
-    } else {
-      cached_.emplace(model, static_cast<int64_t>(n) * 64);
-      soa_.emplace(*cached_, std::move(out), std::move(in));
-    }
+/// follow requests through relocations. A generic model is asked at most
+/// once per distinct (from, to) pair no matter how many passes revisit it.
+tsp::LocateCostSoA NodeCosts(const tape::LocateModel& model,
+                             const Schedule& schedule) {
+  const tape::TapeGeometry& g = model.geometry();
+  const int n = static_cast<int>(schedule.order.size());
+  std::vector<tape::SegmentId> out(n + 1);
+  std::vector<tape::SegmentId> in(n + 1);
+  out[0] = schedule.initial_position;
+  in[0] = schedule.initial_position;  // node 0 never receives an edge
+  for (int k = 0; k < n; ++k) {
+    out[k + 1] = OutPosition(g, schedule.order[k]);
+    in[k + 1] = schedule.order[k].segment;
   }
-
-  /// Locate cost from node `from_id`'s out-position to node `to_id`'s
-  /// first segment.
-  double Edge(int from_id, int to_id) const {
-    return soa_->LocateSeconds(from_id, to_id);
-  }
-
- private:
-  std::optional<tape::CachedLocateModel> cached_;
-  std::optional<tsp::LocateCostSoA> soa_;
-};
+  return tsp::LocateCostSoA(model, std::move(out), std::move(in));
+}
 
 double EffectiveThreshold(const LocalSearchOptions& options,
                           double initial_locate_seconds) {
@@ -71,14 +49,14 @@ LocalSearchStats ImproveScheduleSweep(const tape::LocateModel& model,
   const int n = static_cast<int>(schedule->order.size());
   if (n < 2) return stats;
 
-  BatchEdgeCosts costs(model, *schedule);
+  const tsp::LocateCostSoA costs = NodeCosts(model, *schedule);
   std::vector<Request>& order = schedule->order;
   std::vector<int> ids(n + 1);
   for (int p = 0; p <= n; ++p) ids[p] = p;
 
   auto edge = [&](int a, int b) {  // node positions, 0 = start
     ++stats.edge_evaluations;
-    return costs.Edge(ids[a], ids[b]);
+    return costs.LocateSeconds(ids[a], ids[b]);
   };
 
   double initial_locate = 0.0;
@@ -151,7 +129,7 @@ LocalSearchStats ImproveSchedule(const tape::LocateModel& model,
   const int n = static_cast<int>(schedule->order.size());
   if (n < 2) return stats;
 
-  BatchEdgeCosts costs(model, *schedule);
+  const tsp::LocateCostSoA costs = NodeCosts(model, *schedule);
   std::vector<Request>& order = schedule->order;
 
   // Position state: ids[p] is the node at path position p (ids[0] = start,
@@ -166,7 +144,7 @@ LocalSearchStats ImproveSchedule(const tape::LocateModel& model,
 
   auto eval = [&](int a_pos, int b_pos) {
     ++stats.edge_evaluations;
-    return costs.Edge(ids[a_pos], ids[b_pos]);
+    return costs.LocateSeconds(ids[a_pos], ids[b_pos]);
   };
 
   double initial_locate = 0.0;
@@ -330,14 +308,14 @@ LocalSearchStats ImproveSchedule(const tape::LocateModel& model,
         auto try_j = [&](int j) {
           const double old_edge = edge_after[j];  // 0 at j == n
           ++scan_evals;
-          const double in_edge = costs.Edge(ids[j], head_id);
+          const double in_edge = costs.LocateSeconds(ids[j], head_id);
           // out_edge >= 0 (locate costs are nonnegative), so skip pricing
           // it when even a free out-edge cannot clear the threshold.
           if (removal_gain - in_edge + old_edge <= threshold) return false;
           double out_edge = 0.0;
           if (j < n) {
             ++scan_evals;
-            out_edge = costs.Edge(tail_id, ids[j + 1]);
+            out_edge = costs.LocateSeconds(tail_id, ids[j + 1]);
           }
           const double gain = removal_gain - (in_edge + out_edge - old_edge);
           if (gain <= threshold) return false;

@@ -57,7 +57,7 @@ struct LocalSearchStats {
   int passes = 0;
   int moves = 0;
   double seconds_saved = 0.0;
-  /// Candidate edges priced (kernel evaluations or cache lookups).
+  /// Candidate edges priced (kernel evaluations or memo lookups).
   /// Implementation-specific: the incremental search reports far fewer
   /// than the sweep for the same (identical) result.
   int64_t edge_evaluations = 0;

@@ -6,23 +6,20 @@
 // parallel on the shared thread pool — or, for linear-cost instances, the
 // polynomial LTSP interval DP.
 //
-// Hot paths price edges through tsp::LocateCostSoA: with the Dlt4000 model
-// the per-edge cost is a bit-identical arithmetic kernel over flat per-city
-// arrays, so no O(n²) matrix is materialized above tsp::kDenseLossMaxCities
-// cities (below it, tsp::SolveLossPath prices each edge once into a reused
-// per-thread matrix). Generic models keep the historical shapes (dense
-// matrix or per-batch cache), which also preserve the plan-each-pair-once
-// guarantee their virtual calls rely on.
+// Every edge is priced through tsp::LocateCostSoA, whatever the model: it
+// runs the Dlt4000 model's own rule over decoded endpoints, and asks any
+// other model at most once per pair. tsp::SolveLossPath prices batches of
+// up to tsp::kDenseLossMaxCities cities into a reused per-thread matrix
+// and larger kernel batches lazily, so no O(n²) matrix is materialized for
+// them.
 #include <algorithm>
 #include <cmath>
-#include <typeinfo>
 #include <utility>
 #include <vector>
 
 #include "serpentine/sched/coalesce.h"
 #include "serpentine/sched/internal.h"
 #include "serpentine/sched/weave_pattern.h"
-#include "serpentine/tape/locate_cache.h"
 #include "serpentine/tsp/cost_matrix.h"
 #include "serpentine/tsp/locate_cost.h"
 #include "serpentine/tsp/loss.h"
@@ -41,20 +38,6 @@ tape::SegmentId GroupOut(const tape::TapeGeometry& g,
   return std::min<tape::SegmentId>(group.last() + 1, g.total_segments() - 1);
 }
 
-/// City-indexed positions for the TSP formulation: city 0 is the initial
-/// head position, city i >= 1 is groups[i-1].
-struct CityMap {
-  tape::SegmentId In(const std::vector<CoalescedGroup>& groups,
-                     tape::SegmentId initial, int city) const {
-    return city == 0 ? initial : groups[city - 1].in();
-  }
-  tape::SegmentId Out(const tape::TapeGeometry& g,
-                      const std::vector<CoalescedGroup>& groups,
-                      tape::SegmentId initial, int city) const {
-    return city == 0 ? initial : GroupOut(g, groups[city - 1]);
-  }
-};
-
 std::vector<Request> ExpandOrder(const std::vector<CoalescedGroup>& groups,
                                  const std::vector<int>& city_order) {
   std::vector<int> visit;
@@ -65,54 +48,21 @@ std::vector<Request> ExpandOrder(const std::vector<CoalescedGroup>& groups,
   return FlattenGroups(groups, visit);
 }
 
-bool HasSoaKernel(const tape::LocateModel& model) {
-  return typeid(model) == typeid(tape::Dlt4000LocateModel);
-}
-
-/// In/out endpoint arrays for an arbitrary city list. `group_of(c)` maps
-/// city c >= 1 to a group index; city 0 is the start position.
-template <typename GroupOf>
+/// Locate costs over a batch's cities: city 0 is the initial head
+/// position, city c >= 1 is groups[c-1].
 tsp::LocateCostSoA MakeCityCosts(const tape::LocateModel& model,
-                                 const tape::TapeGeometry& g,
                                  const std::vector<CoalescedGroup>& groups,
-                                 tape::SegmentId initial, int cities,
-                                 GroupOf&& group_of) {
+                                 tape::SegmentId initial) {
+  const tape::TapeGeometry& g = model.geometry();
+  const size_t cities = groups.size() + 1;
   std::vector<tape::SegmentId> out(cities);
   std::vector<tape::SegmentId> in(cities);
   out[0] = in[0] = initial;
-  for (int c = 1; c < cities; ++c) {
-    const CoalescedGroup& group = groups[group_of(c)];
-    in[c] = group.in();
-    out[c] = GroupOut(g, group);
+  for (size_t c = 1; c < cities; ++c) {
+    in[c] = groups[c - 1].in();
+    out[c] = GroupOut(g, groups[c - 1]);
   }
   return tsp::LocateCostSoA(model, std::move(out), std::move(in));
-}
-
-/// Dense LOSS over one city list through the kernel: priced into a matrix
-/// up to tsp::kDenseLossMaxCities cities, lazily above. For generic models
-/// the dense matrix remains the batch's edge-cost cache (every ordered pair
-/// planned exactly once); results are bit-identical either way because the
-/// kernel reproduces the model's arithmetic.
-template <typename GroupOf>
-std::vector<int> SolveDenseLossOrder(const tape::LocateModel& model,
-                                     const tape::TapeGeometry& g,
-                                     const std::vector<CoalescedGroup>& groups,
-                                     tape::SegmentId initial, int cities,
-                                     GroupOf&& group_of) {
-  if (HasSoaKernel(model)) {
-    tsp::LocateCostSoA costs = MakeCityCosts(model, g, groups, initial,
-                                             cities, group_of);
-    return tsp::SolveLossPath(costs);
-  }
-  // The dense matrix IS the batch's edge-cost cache: Build prices every
-  // ordered pair exactly once, and the solver only ever reads the matrix.
-  tsp::CostMatrix m = tsp::CostMatrix::Build(cities, [&](int i, int j) {
-    tape::SegmentId from =
-        i == 0 ? initial : GroupOut(g, groups[group_of(i)]);
-    tape::SegmentId to = j == 0 ? initial : groups[group_of(j)].in();
-    return model.LocateSeconds(from, to);
-  });
-  return tsp::SolveLossPath(m);
 }
 
 int ResolveWorkers(int requested) {
@@ -127,13 +77,10 @@ std::vector<Request> ScheduleLoss(const tape::LocateModel& model,
                                   std::vector<Request> requests,
                                   int64_t coalesce_threshold) {
   if (requests.size() <= 1) return requests;
-  const tape::TapeGeometry& g = model.geometry();
   std::vector<CoalescedGroup> groups =
       CoalesceRequests(std::move(requests), coalesce_threshold);
-  int cities = static_cast<int>(groups.size()) + 1;
-  return ExpandOrder(groups,
-                     SolveDenseLossOrder(model, g, groups, initial, cities,
-                                         [](int c) { return c - 1; }));
+  return ExpandOrder(
+      groups, tsp::SolveLossPath(MakeCityCosts(model, groups, initial)));
 }
 
 std::vector<Request> ScheduleLossPartitioned(const tape::LocateModel& model,
@@ -147,15 +94,13 @@ std::vector<Request> ScheduleLossPartitioned(const tape::LocateModel& model,
   std::vector<CoalescedGroup> groups =
       CoalesceRequests(std::move(requests), coalesce_threshold);
   const int total_groups = static_cast<int>(groups.size());
-  if (partition_size <= 0) partition_size = kDefaultLossPartitionSize;
+  SERPENTINE_CHECK_GT(partition_size, 0);
 
-  // Small batches take the plain dense path, so loss-mt degenerates to
-  // LOSS exactly (pinned by sched_parallel_build_test.cc).
+  // Small batches take the plain LOSS path, so loss-mt degenerates to LOSS
+  // exactly (pinned by sched_parallel_build_test.cc).
   if (total_groups <= partition_size) {
     return ExpandOrder(
-        groups, SolveDenseLossOrder(model, g, groups, initial,
-                                    total_groups + 1,
-                                    [](int c) { return c - 1; }));
+        groups, tsp::SolveLossPath(MakeCityCosts(model, groups, initial)));
   }
 
   // Fragment layout depends only on the group count, never on the worker
@@ -167,10 +112,8 @@ std::vector<Request> ScheduleLossPartitioned(const tape::LocateModel& model,
   const int fragments =
       (total_groups + partition_size - 1) / partition_size;
   std::vector<std::vector<int>> chains(fragments);
-  const bool concurrent_safe =
-      HasSoaKernel(model) || model.SupportsConcurrentUse();
   const int effective_workers =
-      concurrent_safe ? ResolveWorkers(workers) : 1;
+      model.SupportsConcurrentUse() ? ResolveWorkers(workers) : 1;
 
   auto solve_fragment = [&](int64_t f) {
     const int lo = static_cast<int>(f) * partition_size;
@@ -185,18 +128,8 @@ std::vector<Request> ScheduleLossPartitioned(const tape::LocateModel& model,
       in[c] = groups[lo + c].in();
       out[c] = GroupOut(g, groups[lo + c]);
     }
-    std::vector<int> order;
-    if (HasSoaKernel(model)) {
-      tsp::LocateCostSoA costs(model, std::move(out), std::move(in));
-      order = tsp::SolveLossPath(costs);
-    } else {
-      // Shard-local cache: each fragment plans its own pairs once; safe
-      // under concurrency because nothing is shared.
-      tape::CachedLocateModel cached(model,
-                                     static_cast<int64_t>(cities) * 16);
-      tsp::LocateCostSoA costs(cached, std::move(out), std::move(in));
-      order = tsp::SolveLossPath(costs);
-    }
+    std::vector<int> order = tsp::SolveLossPath(
+        tsp::LocateCostSoA(model, std::move(out), std::move(in)));
     std::vector<int>& chain = chains[f];
     chain.reserve(cities);
     for (int c : order) chain.push_back(lo + c);
@@ -215,16 +148,8 @@ std::vector<Request> ScheduleLossPartitioned(const tape::LocateModel& model,
     in[f + 1] = groups[chains[f].front()].in();
     out[f + 1] = GroupOut(g, groups[chains[f].back()]);
   }
-  std::vector<int> merge_order;
-  if (HasSoaKernel(model)) {
-    tsp::LocateCostSoA costs(model, std::move(out), std::move(in));
-    merge_order = tsp::SolveLossPath(costs);
-  } else {
-    tape::CachedLocateModel cached(model,
-                                   static_cast<int64_t>(merge_cities) * 16);
-    tsp::LocateCostSoA costs(cached, std::move(out), std::move(in));
-    merge_order = tsp::SolveLossPath(costs);
-  }
+  std::vector<int> merge_order = tsp::SolveLossPath(
+      tsp::LocateCostSoA(model, std::move(out), std::move(in)));
 
   std::vector<int> visit;
   visit.reserve(total_groups);
@@ -240,32 +165,20 @@ serpentine::StatusOr<std::vector<Request>> ScheduleLtsp(
     const tape::LocateModel& model, tape::SegmentId initial,
     std::vector<Request> requests, int64_t coalesce_threshold) {
   if (requests.size() <= 1) return requests;
-  const tape::TapeGeometry& g = model.geometry();
   std::vector<CoalescedGroup> groups =
       CoalesceRequests(std::move(requests), coalesce_threshold);
-  int cities = static_cast<int>(groups.size()) + 1;
+  const int cities = static_cast<int>(groups.size()) + 1;
   if (cities - 1 > tsp::kMaxLtspCities) {
     return InvalidArgumentError(
         "ltsp-exact limited to " + std::to_string(tsp::kMaxLtspCities) +
         " coalesced groups (got " + std::to_string(cities - 1) + ")");
   }
-  CityMap map;
   // CoalesceRequests returns groups sorted ascending by first segment, so
   // cities 1..n-1 are already in the line order the interval DP needs.
-  std::vector<int> order;
-  if (HasSoaKernel(model)) {
-    tsp::LocateCostSoA costs = MakeCityCosts(
-        model, g, groups, initial, cities, [](int c) { return c - 1; });
-    tsp::CostMatrix m = tsp::CostMatrix::Build(
-        cities, [&](int i, int j) { return costs.LocateSeconds(i, j); });
-    SERPENTINE_ASSIGN_OR_RETURN(order, tsp::SolveLtspPath(m));
-  } else {
-    tsp::CostMatrix m = tsp::CostMatrix::Build(cities, [&](int i, int j) {
-      return model.LocateSeconds(map.Out(g, groups, initial, i),
-                                 map.In(groups, initial, j));
-    });
-    SERPENTINE_ASSIGN_OR_RETURN(order, tsp::SolveLtspPath(m));
-  }
+  tsp::LocateCostSoA costs = MakeCityCosts(model, groups, initial);
+  tsp::CostMatrix m = tsp::CostMatrix::Build(
+      cities, [&](int i, int j) { return costs.Price(i, j); });
+  SERPENTINE_ASSIGN_OR_RETURN(std::vector<int> order, tsp::SolveLtspPath(m));
   return ExpandOrder(groups, order);
 }
 
@@ -273,30 +186,20 @@ std::vector<Request> ScheduleSparseLoss(const tape::LocateModel& model,
                                         tape::SegmentId initial,
                                         std::vector<Request> requests,
                                         int64_t coalesce_threshold,
-                                        int edges_per_city,
                                         int workers) {
   if (requests.size() <= 1) return requests;
   const tape::TapeGeometry& g = model.geometry();
   const int sections = g.sections_per_track();
   std::vector<CoalescedGroup> groups =
       CoalesceRequests(std::move(requests), coalesce_threshold);
-  int cities = static_cast<int>(groups.size()) + 1;
-  CityMap map;
-  const bool kernel = HasSoaKernel(model);
+  const int cities = static_cast<int>(groups.size()) + 1;
   // Candidate-edge gathering and the contraction phase price overlapping
-  // (from, to) pairs. The SoA kernel recomputes them (pure arithmetic,
-  // thread-safe); generic models keep the per-batch cache, which plans
-  // each pair once but serializes the gather.
-  tape::CachedLocateModel cached(
-      model, kernel ? 64 : static_cast<int64_t>(cities) * 16);
-  tsp::LocateCostSoA soa = MakeCityCosts(
-      kernel ? model : static_cast<const tape::LocateModel&>(cached), g,
-      groups, initial, cities, [](int c) { return c - 1; });
-
-  if (edges_per_city <= 0) {
-    edges_per_city = std::max(
-        4, 2 * static_cast<int>(std::ceil(std::log2(cities))));
-  }
+  // (from, to) pairs: the kernel recomputes them, and a generic model is
+  // asked once per pair (which serializes the gather).
+  tsp::LocateCostSoA soa = MakeCityCosts(model, groups, initial);
+  // The paper's "logarithmic number of out-edges".
+  const int edges_per_city =
+      std::max(4, 2 * static_cast<int>(std::ceil(std::log2(cities))));
 
   // Index cities (including the start) by the (track, physical section) of
   // their in-position, so each city's candidates can be gathered in weave
@@ -308,8 +211,7 @@ std::vector<Request> ScheduleSparseLoss(const tape::LocateModel& model,
     return static_cast<size_t>(c.track) * sections + c.physical_section;
   };
   for (int city = 1; city < cities; ++city) {
-    cities_in_bucket[bucket_of(map.In(groups, initial, city))].push_back(
-        city);
+    cities_in_bucket[bucket_of(soa.in_position(city))].push_back(city);
   }
 
   // Candidate generation is embarrassingly parallel once the buckets are
@@ -319,8 +221,7 @@ std::vector<Request> ScheduleSparseLoss(const tape::LocateModel& model,
   std::vector<std::vector<tsp::SparseEdge>> out_edges(cities);
   auto gather = [&](int64_t city64) {
     const int city = static_cast<int>(city64);
-    tape::SegmentId from = map.Out(g, groups, initial, city);
-    tape::Coord here = g.ToCoord(from);
+    tape::Coord here = g.ToCoord(soa.out_position(city));
     auto& edges = out_edges[city];
     for (const WeaveStep& step :
          WeavePattern(g, here.track, here.physical_section)) {

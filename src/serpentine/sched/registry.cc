@@ -183,7 +183,7 @@ const Registry& Registry::Default() {
         schedule.initial_position = initial_position;
         schedule.order = internal::ScheduleLossPartitioned(
             model, initial_position, std::move(requests),
-            options.loss_coalesce_threshold, options.loss_partition_size,
+            options.loss_coalesce_threshold, kDefaultLossPartitionSize,
             options.construction_workers);
         return schedule;
       };
@@ -208,7 +208,7 @@ const Registry& Registry::Default() {
         schedule.initial_position = initial_position;
         schedule.order = internal::ScheduleLossPartitioned(
             model, initial_position, std::move(requests),
-            options.loss_coalesce_threshold, options.loss_partition_size,
+            options.loss_coalesce_threshold, kDefaultLossPartitionSize,
             options.construction_workers);
         LocalSearchOptions search;
         search.insertion_window = 64;

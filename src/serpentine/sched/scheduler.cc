@@ -75,7 +75,7 @@ StatusOr<Schedule> BuildSchedule(const tape::LocateModel& model,
           options.loss_coalesce_threshold > 0
               ? options.loss_coalesce_threshold
               : kDefaultCoalesceThreshold,
-          options.sparse_edges_per_city, options.construction_workers);
+          options.construction_workers);
       break;
   }
   return schedule;

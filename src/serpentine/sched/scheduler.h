@@ -30,28 +30,19 @@ struct SchedulerOptions {
   /// default section-based behavior.
   int64_t sltf_coalesce_threshold = 0;
 
-  /// Candidate out-edges per city for SPARSE_LOSS; 0 picks
-  /// max(4, 2·ceil(log2(cities))) per the paper's "logarithmic number of
-  /// out-edges".
-  int sparse_edges_per_city = 0;
-
   /// Worker threads for parallel schedule construction (sparse-edge
   /// gathering, partitioned-LOSS fragments). 1 (the default) keeps
   /// construction serial; 0 resolves via util::ResolveThreadCount
   /// (SERPENTINE_THREADS / hardware concurrency). All parallel paths are
   /// bit-identical for any worker count.
   int construction_workers = 1;
-
-  /// Fragment size (coalesced groups) for the partitioned "loss-mt"
-  /// builder; <= 0 selects kDefaultLossPartitionSize. Batches no larger
-  /// than one fragment use plain dense LOSS.
-  int loss_partition_size = 0;
 };
 
-/// Default fragment size for partitioned LOSS: large enough that the
-/// greedy sees a whole band of tape per fragment, small enough that a
-/// fragment's dense work stays cache-resident and 100k-request batches
-/// yield ~100 fragments to spread across workers.
+/// Fragment size (coalesced groups) of the partitioned "loss-mt" builder:
+/// large enough that the greedy sees a whole band of tape per fragment,
+/// small enough that a fragment's dense work stays cache-resident and
+/// 100k-request batches yield ~100 fragments to spread across workers.
+/// Batches no larger than one fragment use plain LOSS.
 inline constexpr int kDefaultLossPartitionSize = 1024;
 
 /// Reorders `requests` for minimal execution time starting from

@@ -1,7 +1,6 @@
 #include "serpentine/sched/selector.h"
 
 #include "serpentine/sched/estimator.h"
-#include "serpentine/tape/locate_cache.h"
 
 namespace serpentine::sched {
 
@@ -18,21 +17,14 @@ serpentine::StatusOr<Schedule> BuildBestSchedule(
       static_cast<int>(requests.size()) <= options.opt_cutoff
           ? Algorithm::kOpt
           : options.heuristic;
-  // One edge-cost cache for the whole batch: scheduling prices the batch's
-  // pairs, and the estimate below re-reads them instead of replanning.
-  tape::CachedLocateModel cached(
-      model, static_cast<int64_t>(requests.size()) * 16);
   SERPENTINE_ASSIGN_OR_RETURN(
       Schedule schedule,
-      BuildSchedule(cached, initial_position, requests, algorithm,
+      BuildSchedule(model, initial_position, requests, algorithm,
                     options.scheduler_options));
-  if (options.compare_with_full_read && algorithm != Algorithm::kOpt) {
+  if (options.compare_with_full_read) {
     // The READ baseline ignores the order, so just compare totals.
-    double scheduled = EstimateScheduleSeconds(cached, schedule);
-    const tape::TapeGeometry& g = model.geometry();
-    double full_read = model.ReadSeconds(0, g.total_segments() - 1) +
-                       model.RewindSeconds(g.total_segments() - 1);
-    if (full_read < scheduled) {
+    if (model.FullReadAndRewindSeconds() <
+        EstimateScheduleSeconds(model, schedule)) {
       return BuildSchedule(model, initial_position, std::move(requests),
                            Algorithm::kRead, options.scheduler_options);
     }

@@ -14,9 +14,9 @@ namespace serpentine::sched {
 struct SelectorOptions {
   /// Largest batch handed to the exact solver.
   int opt_cutoff = 10;
-  /// When true, compare the heuristic schedule's estimate against a full
-  /// tape read and return a READ schedule if that is faster (instead of
-  /// relying on a fixed batch-size threshold — the actual crossover
+  /// When true, compare the schedule's estimate (OPT's included) against a
+  /// full tape read and return a READ schedule if that is faster (instead
+  /// of relying on a fixed batch-size threshold — the actual crossover
   /// depends on the request distribution).
   bool compare_with_full_read = true;
   /// Heuristic used between the OPT cutoff and the READ crossover.
@@ -32,7 +32,8 @@ Algorithm RecommendedAlgorithm(int n, int opt_cutoff = 10,
 
 /// Builds the best schedule per the selector policy: OPT for tiny batches,
 /// the configured heuristic otherwise, downgraded to READ when a full
-/// sequential pass is estimated to be faster.
+/// sequential pass is estimated to be faster. store::TertiaryStore flushes
+/// every batch through it.
 serpentine::StatusOr<Schedule> BuildBestSchedule(
     const tape::LocateModel& model, tape::SegmentId initial_position,
     std::vector<Request> requests, const SelectorOptions& options = {});

@@ -36,8 +36,8 @@
 //
 // Concurrency contract: the builder runs on at most one worker thread at
 // a time, concurrently with drive execution on the caller's thread. The
-// builder must not share non-concurrent-safe state (e.g. one
-// tape::CachedLocateModel) with the executing drive stack.
+// builder must not share non-concurrent-safe state (e.g. a model whose
+// SupportsConcurrentUse() is false) with the executing drive stack.
 #ifndef SERPENTINE_SIM_PIPELINE_H_
 #define SERPENTINE_SIM_PIPELINE_H_
 

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "serpentine/sched/estimator.h"
+#include "serpentine/sched/selector.h"
 #include "serpentine/util/check.h"
 
 namespace serpentine::store {
@@ -143,25 +143,19 @@ serpentine::Status TertiaryStore::FlushTape(int tape,
   requests.reserve(batch.size());
   for (const PendingRead& p : batch) requests.push_back(p.request);
 
-  sched::Algorithm algorithm = options_.algorithm;
-  if (options_.opt_cutoff > 0 &&
-      static_cast<int>(requests.size()) <= options_.opt_cutoff) {
-    algorithm = sched::Algorithm::kOpt;
-  }
+  // The paper's §8 rule: OPT for small batches, the configured algorithm
+  // otherwise, and a full read when that is estimated to be faster.
+  sched::SelectorOptions selector;
+  selector.opt_cutoff = options_.opt_cutoff;
+  selector.compare_with_full_read = options_.auto_full_read;
+  selector.heuristic = options_.algorithm;
+  selector.scheduler_options = options_.scheduler_options;
   SERPENTINE_ASSIGN_OR_RETURN(
       sched::Schedule schedule,
-      sched::BuildSchedule(model, library_.head_position(), requests,
-                           algorithm, options_.scheduler_options));
+      sched::BuildBestSchedule(model, library_.head_position(),
+                               std::move(requests), selector));
 
-  // The paper's crossover: beyond ~1536 uniform requests a LOSS schedule
-  // is no faster than reading the whole tape.
-  bool full_scan = false;
-  if (options_.auto_full_read) {
-    double scheduled = sched::EstimateScheduleSeconds(model, schedule);
-    if (scheduled > model.FullReadAndRewindSeconds()) full_scan = true;
-  }
-
-  if (full_scan) {
+  if (schedule.full_tape_scan) {
     ++report->full_scans;
     // One sequential pass: each request completes when the head sweeps
     // past its last segment. FullScan() charges the locate home itself.

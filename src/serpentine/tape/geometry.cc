@@ -162,13 +162,6 @@ SegmentId TapeGeometry::ToSegment(const Coord& c) const {
   return KeyPointSegment(c.track, r) + offset;
 }
 
-PhysicalPos TapeGeometry::KeyPointPhysical(int track,
-                                           int reading_section) const {
-  int p = PhysicalSection(track, reading_section);
-  return IsForwardTrack(track) ? section_boundary(track, p)
-                               : section_boundary(track, p + 1);
-}
-
 TapeGeometry::ReadSpan TapeGeometry::SequentialSpan(SegmentId from,
                                                     SegmentId to) const {
   SERPENTINE_CHECK_LE(from, to);

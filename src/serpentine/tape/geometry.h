@@ -127,7 +127,11 @@ class TapeGeometry {
   }
 
   /// Physical position of the head when located at key point k_r.
-  PhysicalPos KeyPointPhysical(int track, int reading_section) const;
+  PhysicalPos KeyPointPhysical(int track, int reading_section) const {
+    const int p = PhysicalSection(track, reading_section);
+    return IsForwardTrack(track) ? section_boundary(track, p)
+                                 : section_boundary(track, p + 1);
+  }
 
   /// Physical position of the head when positioned to begin reading `seg`.
   PhysicalPos PhysicalPosition(SegmentId seg) const {

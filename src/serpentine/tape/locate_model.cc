@@ -34,49 +34,35 @@ Dlt4000LocateModel::Dlt4000LocateModel(TapeGeometry geometry,
 Dlt4000LocateModel::Plan Dlt4000LocateModel::PlanLocate(SegmentId src,
                                                         SegmentId dst) const {
   Plan plan{};
-  const TapeGeometry& g = geometry_;
-  const TapeGeometry::Decoded s = g.Decode(src);
-  const TapeGeometry::Decoded d = g.Decode(dst);
-  const int track_s = s.track;
-  const int track_d = d.track;
-  const int r_s = s.reading_section;
-  const int r_d = d.reading_section;
-  const double p_s = s.position;
-  const double p_d = d.position;
-
-  // Case 1: forward in the same track, within the same or next two reading
-  // sections — the drive stays at read speed.
-  if (track_s == track_d && dst >= src && r_d <= r_s + 2) {
+  const Endpoint s = EndpointOf(src);
+  const Endpoint d = EndpointOf(dst);
+  if (ReadsForward(s, d)) {
     plan.locate_case = LocateCase::kReadForward;
-    plan.read_distance = std::abs(p_d - p_s);
-    plan.scan_target = p_d;
+    plan.read_distance = std::abs(d.position - s.position);
+    plan.scan_target = d.position;
     return plan;
   }
 
-  // Otherwise: move to the key point two before the destination (the start
-  // of reading section r_d - 1), clamped to the beginning of the track for
-  // destinations in the first two reading sections, then read forward.
-  bool to_track_start = r_d <= 1;
-  int r_kp = std::max(0, r_d - 1);
-  double p_kp = g.KeyPointPhysical(track_d, r_kp);
-  plan.scan_target = p_kp;
-
-  plan.scan_distance = std::abs(p_kp - p_s);
-  plan.track_change = track_s != track_d;
+  plan.scan_target = d.key_point;
+  plan.scan_distance = std::abs(d.key_point - s.position);
+  plan.track_change = s.track != d.track;
   // The transport was last moving in the source track's reading direction;
   // a scan leg against it needs a direction reversal.
-  int src_dir = g.IsForwardTrack(track_s) ? +1 : -1;
-  int scan_dir = p_kp > p_s ? +1 : (p_kp < p_s ? -1 : src_dir);
+  int src_dir = s.forward ? +1 : -1;
+  int scan_dir = d.key_point > s.position   ? +1
+                 : d.key_point < s.position ? -1
+                                            : src_dir;
   plan.reversal = plan.scan_distance > 0.0 && scan_dir != src_dir;
-  plan.read_distance = std::abs(p_d - p_kp);
+  plan.read_distance = std::abs(d.position - d.key_point);
 
-  bool co_directional =
-      g.IsForwardTrack(track_s) == g.IsForwardTrack(track_d);
+  bool co_directional = s.forward == d.forward;
   // "Forward" in the paper's case statements is relative to the destination
   // track's reading direction.
-  int dst_dir = g.IsForwardTrack(track_d) ? +1 : -1;
+  int dst_dir = d.forward ? +1 : -1;
   bool scan_forward = plan.scan_distance == 0.0 || scan_dir == dst_dir;
-  if (to_track_start) {
+  // A destination in the first two reading sections scans to the
+  // beginning of its track (EndpointOf's clamp).
+  if (d.reading_section <= 1) {
     plan.locate_case = co_directional
                            ? LocateCase::kTrackStartCoDirectional
                            : LocateCase::kTrackStartAntiDirectional;
@@ -93,15 +79,7 @@ Dlt4000LocateModel::Plan Dlt4000LocateModel::PlanLocate(SegmentId src,
 }
 
 double Dlt4000LocateModel::LocateSeconds(SegmentId src, SegmentId dst) const {
-  if (src == dst) return 0.0;
-  Plan plan = PlanLocate(src, dst);
-  double t = plan.read_distance * timings_.read_seconds_per_section;
-  if (plan.locate_case == LocateCase::kReadForward) return t;
-  t += timings_.scan_overhead_seconds +
-       plan.scan_distance * timings_.scan_seconds_per_section;
-  if (plan.track_change) t += timings_.track_switch_seconds;
-  if (plan.reversal) t += timings_.reversal_penalty_seconds;
-  return t;
+  return SecondsBetween(EndpointOf(src), EndpointOf(dst));
 }
 
 LocateCase Dlt4000LocateModel::Classify(SegmentId src, SegmentId dst) const {

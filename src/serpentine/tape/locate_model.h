@@ -18,9 +18,17 @@
 // Everything is computed in physical coordinates, so the forward/reverse
 // asymmetries the paper measures (e.g. the ~5 s dip drop on forward tracks
 // vs ~25 s on reverse tracks) emerge instead of being special-cased.
+//
+// The rule is written once: Dlt4000LocateModel::EndpointOf decodes each
+// end of a locate, ReadsForward is the case-1 test, and SecondsBetween adds
+// up the charges. LocateSeconds, the case analysis behind Classify and
+// ExplainLocate, and tsp::LocateCostSoA's per-edge kernel all build on
+// those three.
 #ifndef SERPENTINE_TAPE_LOCATE_MODEL_H_
 #define SERPENTINE_TAPE_LOCATE_MODEL_H_
 
+#include <algorithm>
+#include <cmath>
 #include <memory>
 
 #include "serpentine/tape/geometry.h"
@@ -79,9 +87,9 @@ class LocateModel {
   virtual const TapeGeometry& geometry() const = 0;
 
   /// True when const queries are safe from multiple threads at once. Models
-  /// with hidden mutable state (PhysicalDrive's noise stream, a per-batch
-  /// CachedLocateModel) return false; the parallel experiment harness then
-  /// runs its trial loop serially instead of racing.
+  /// with hidden mutable state (PhysicalDrive's noise stream) return false;
+  /// the parallel experiment harness then runs its trial loop serially
+  /// instead of racing.
   virtual bool SupportsConcurrentUse() const { return true; }
 
   /// Seconds to read the whole tape sequentially and rewind — the READ
@@ -103,6 +111,40 @@ class Dlt4000LocateModel : public LocateModel {
   const TapeGeometry& geometry() const override { return geometry_; }
 
   const DriveTimings& timings() const { return timings_; }
+
+  /// One end of a locate, decoded once: everything the rule reads about a
+  /// segment the head leaves from or arrives at. Kept to 40 bytes, since
+  /// tsp::LocateCostSoA holds two per city and LOSS's rescans stream them;
+  /// that is why SecondsBetween computes the final read leg instead of
+  /// reading it from here.
+  struct Endpoint {
+    SegmentId segment = 0;
+    int track = 0;
+    int reading_section = 0;
+    /// The track's reading direction: true on forward tracks.
+    bool forward = true;
+    /// Where the head sits to begin reading the segment.
+    PhysicalPos position = 0.0;
+    /// The key point a locate *to* this segment scans to: the start of
+    /// reading section r - 1, clamped to the beginning of the track for
+    /// the first two sections. The locate then reads forward from here to
+    /// `position`.
+    PhysicalPos key_point = 0.0;
+  };
+  Endpoint EndpointOf(SegmentId seg) const;
+
+  /// Case 1: forward in the same track, within the same or next two
+  /// reading sections — the drive stays at read speed.
+  static bool ReadsForward(const Endpoint& from, const Endpoint& to) {
+    return from.track == to.track && to.segment >= from.segment &&
+           to.reading_section <= from.reading_section + 2;
+  }
+
+  /// Seconds to locate from `from` to `to`: LocateSeconds over decoded
+  /// endpoints. Outside case 1 the drive switches to the destination
+  /// track, scans to its key point (reversing if the scan runs against the
+  /// source track's reading direction), and reads forward.
+  double SecondsBetween(const Endpoint& from, const Endpoint& to) const;
 
   /// Which of the paper's seven cases governs locate(src → dst).
   /// src == dst classifies as case 1 with zero motion.
@@ -136,7 +178,8 @@ class Dlt4000LocateModel : public LocateModel {
   PhysicalPos ScanTargetPhysical(SegmentId src, SegmentId dst) const;
 
  private:
-  /// Decomposition of one locate, shared by LocateSeconds and Classify.
+  /// Decomposition of one locate, shared by Classify, ExplainLocate and
+  /// ScanTargetPhysical.
   struct Plan {
     LocateCase locate_case;
     double scan_distance;  // section units; 0 for case 1
@@ -150,6 +193,43 @@ class Dlt4000LocateModel : public LocateModel {
   TapeGeometry geometry_;
   DriveTimings timings_;
 };
+
+inline Dlt4000LocateModel::Endpoint Dlt4000LocateModel::EndpointOf(
+    SegmentId seg) const {
+  const TapeGeometry::Decoded d = geometry_.Decode(seg);
+  Endpoint e;
+  e.segment = seg;
+  e.track = d.track;
+  e.reading_section = d.reading_section;
+  e.forward = geometry_.IsForwardTrack(d.track);
+  e.position = d.position;
+  e.key_point =
+      geometry_.KeyPointPhysical(d.track, std::max(0, d.reading_section - 1));
+  return e;
+}
+
+inline double Dlt4000LocateModel::SecondsBetween(const Endpoint& from,
+                                                 const Endpoint& to) const {
+  if (from.segment == to.segment) return 0.0;
+  if (ReadsForward(from, to)) {
+    return std::abs(to.position - from.position) *
+           timings_.read_seconds_per_section;
+  }
+  const double scan_distance = std::abs(to.key_point - from.position);
+  const int from_dir = from.forward ? +1 : -1;
+  const int scan_dir = to.key_point > from.position   ? +1
+                       : to.key_point < from.position ? -1
+                                                      : from_dir;
+  double t =
+      std::abs(to.position - to.key_point) * timings_.read_seconds_per_section;
+  t += timings_.scan_overhead_seconds +
+       scan_distance * timings_.scan_seconds_per_section;
+  if (from.track != to.track) t += timings_.track_switch_seconds;
+  if (scan_distance > 0.0 && scan_dir != from_dir) {
+    t += timings_.reversal_penalty_seconds;
+  }
+  return t;
+}
 
 /// Helical-scan tape model (paper §2): logical block numbers correspond
 /// directly to physical position, so positioning time is a simple linear

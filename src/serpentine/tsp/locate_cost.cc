@@ -1,14 +1,30 @@
 #include "serpentine/tsp/locate_cost.h"
 
 #include <algorithm>
+#include <bit>
 #include <typeinfo>
 #include <utility>
 
-#include "serpentine/tape/geometry.h"
-#include "serpentine/tape/params.h"
 #include "serpentine/util/check.h"
 
 namespace serpentine::tsp {
+namespace {
+
+constexpr uint64_t kEmptyKey = ~uint64_t{0};
+
+uint64_t PairKey(tape::SegmentId from, tape::SegmentId to) {
+  return (static_cast<uint64_t>(static_cast<uint32_t>(from)) << 32) |
+         static_cast<uint32_t>(to);
+}
+
+uint64_t Mix(uint64_t z) {
+  z += 0x9E3779B97F4A7C15ull;
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+  return z ^ (z >> 31);
+}
+
+}  // namespace
 
 LocateCostSoA::LocateCostSoA(const tape::LocateModel& model,
                              std::vector<tape::SegmentId> out_positions,
@@ -18,49 +34,51 @@ LocateCostSoA::LocateCostSoA(const tape::LocateModel& model,
       out_seg_(std::move(out_positions)),
       in_seg_(std::move(in_positions)) {
   SERPENTINE_CHECK_EQ(out_seg_.size(), in_seg_.size());
-  // The kernel replays Dlt4000LocateModel's arithmetic, so it is only safe
-  // for exactly that type — PerturbedLocateModel and PhysicalDrive wrap a
+  // The kernel is Dlt4000LocateModel's own rule, so it is only right for
+  // exactly that type: PerturbedLocateModel and PhysicalDrive wrap a
   // Dlt4000 model but answer differently, and they are distinct types.
-  fast_ = typeid(model) == typeid(tape::Dlt4000LocateModel);
-  if (!fast_) return;
-
-  const auto& dlt = static_cast<const tape::Dlt4000LocateModel&>(model);
-  const tape::TapeGeometry& g = dlt.geometry();
-  const tape::DriveTimings& t = dlt.timings();
-  read_seconds_per_section_ = t.read_seconds_per_section;
-  scan_seconds_per_section_ = t.scan_seconds_per_section;
-  scan_overhead_seconds_ = t.scan_overhead_seconds;
-  track_switch_seconds_ = t.track_switch_seconds;
-  reversal_penalty_seconds_ = t.reversal_penalty_seconds;
-
-  out_track_.resize(n_);
-  in_track_.resize(n_);
-  out_rsec_.resize(n_);
-  in_rsec_.resize(n_);
-  out_ppos_.resize(n_);
-  in_ppos_.resize(n_);
-  in_kp_ppos_.resize(n_);
-  in_kp_read_seconds_.resize(n_);
-  out_forward_.resize(n_);
+  if (typeid(model) != typeid(tape::Dlt4000LocateModel)) return;
+  dlt_ = static_cast<const tape::Dlt4000LocateModel*>(&model);
+  out_.reserve(n_);
+  in_.reserve(n_);
   for (int c = 0; c < n_; ++c) {
-    const tape::TapeGeometry::Decoded src = g.Decode(out_seg_[c]);
-    out_track_[c] = src.track;
-    out_rsec_[c] = src.reading_section;
-    out_ppos_[c] = src.position;
-    out_forward_[c] = g.IsForwardTrack(src.track) ? 1 : 0;
-
-    const tape::TapeGeometry::Decoded dst = g.Decode(in_seg_[c]);
-    in_track_[c] = dst.track;
-    in_rsec_[c] = dst.reading_section;
-    in_ppos_[c] = dst.position;
-    // Key point two before the destination, clamped to the beginning of
-    // the track (locate_model.cc PlanLocate), and its read-forward leg.
-    const int r_kp = std::max(0, dst.reading_section - 1);
-    const double p_kp = g.KeyPointPhysical(dst.track, r_kp);
-    in_kp_ppos_[c] = p_kp;
-    in_kp_read_seconds_[c] =
-        std::abs(dst.position - p_kp) * read_seconds_per_section_;
+    out_.push_back(dlt_->EndpointOf(out_seg_[c]));
+    in_.push_back(dlt_->EndpointOf(in_seg_[c]));
   }
+}
+
+double LocateCostSoA::cost(int i, int j) const {
+  if (i == j || j == 0) return kInfiniteCost;
+  return LocateSeconds(i, j);
+}
+
+double LocateCostSoA::Remembered(int i, int j) const {
+  if (memo_.empty()) {
+    // Room for ~16 pairs per city at a load factor of at most one half.
+    memo_.assign(std::bit_ceil(static_cast<uint64_t>(std::max(n_, 4)) * 32),
+                 Slot{kEmptyKey, 0.0});
+  }
+  const uint64_t key = PairKey(out_seg_[i], in_seg_[j]);
+  uint64_t mask = memo_.size() - 1;
+  uint64_t at = Mix(key) & mask;
+  while (memo_[at].key != kEmptyKey) {
+    if (memo_[at].key == key) return memo_[at].seconds;
+    at = (at + 1) & mask;
+  }
+  const double seconds = model_->LocateSeconds(out_seg_[i], in_seg_[j]);
+  memo_[at] = Slot{key, seconds};
+  if (++memo_entries_ * 2 > static_cast<int64_t>(memo_.size())) {
+    std::vector<Slot> old = std::move(memo_);
+    memo_.assign(old.size() * 2, Slot{kEmptyKey, 0.0});
+    mask = memo_.size() - 1;
+    for (const Slot& s : old) {
+      if (s.key == kEmptyKey) continue;
+      at = Mix(s.key) & mask;
+      while (memo_[at].key != kEmptyKey) at = (at + 1) & mask;
+      memo_[at] = s;
+    }
+  }
+  return seconds;
 }
 
 }  // namespace serpentine::tsp

@@ -8,22 +8,26 @@
 namespace serpentine::tsp {
 namespace {
 
-/// A LocateCostSoA's edges, priced once into a row-major n×n array.
+/// A LocateCostSoA's edges, priced once each into a row-major n×n array in
+/// CostMatrix::Build's order, through the accessor that never remembers.
 class DenseCosts {
  public:
   DenseCosts(const LocateCostSoA& costs, std::vector<double>& storage)
       : n_(costs.size()) {
-    if (storage.size() < static_cast<size_t>(n_) * n_) {
-      storage.resize(static_cast<size_t>(n_) * n_);
-    }
+    const size_t n = n_;
+    if (storage.size() < n * n) storage.resize(n * n);
     w_ = storage.data();
     for (int i = 0; i < n_; ++i) {
-      for (int j = 0; j < n_; ++j) w_[i * n_ + j] = costs.cost(i, j);
+      for (int j = 0; j < n_; ++j) {
+        w_[i * n + j] = i == j || j == 0 ? kInfiniteCost : costs.Price(i, j);
+      }
     }
   }
 
   int size() const { return n_; }
-  double cost(int i, int j) const { return w_[i * n_ + j]; }
+  double cost(int i, int j) const {
+    return w_[static_cast<size_t>(i) * n_ + j];
+  }
 
  private:
   int n_;
@@ -42,12 +46,14 @@ std::vector<int> SolveLossPathWithStats(const CostMatrix& m,
 }
 
 std::vector<int> SolveLossPath(const LocateCostSoA& costs, LossStats* stats) {
-  // Only the kernel prices as pure arithmetic; a forwarded model may keep
-  // state that depends on which edges are asked for, and how often.
-  if (!costs.fast_kernel() || costs.size() > kDenseLossMaxCities) {
-    return SolveLossPathOver(costs, stats);
+  if (costs.size() <= kDenseLossMaxCities) {
+    thread_local std::vector<double> storage;
+    return SolveLossPathOver(DenseCosts(costs, storage), stats);
   }
-  thread_local std::vector<double> storage;
+  // Only the kernel prices lazily: a generic model is asked for each edge
+  // exactly once, as a dense matrix asks it.
+  if (costs.fast_kernel()) return SolveLossPathOver(costs, stats);
+  std::vector<double> storage;
   return SolveLossPathOver(DenseCosts(costs, storage), stats);
 }
 

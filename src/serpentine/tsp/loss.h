@@ -44,10 +44,11 @@ class LocateCostSoA;
 /// matrix. Serving batches (at most 64 requests) always fit.
 inline constexpr int kDenseLossMaxCities = 128;
 
-/// LOSS over a batch's locate costs. On the Dlt4000 kernel with at most
-/// kDenseLossMaxCities cities, every edge is priced once into a per-thread
-/// matrix that grows to at most kDenseLossMaxCities² entries, so rescans
-/// read instead of re-pricing; otherwise edges are priced on demand. The
+/// LOSS over a batch's locate costs. Up to kDenseLossMaxCities cities,
+/// every edge is priced once into a per-thread matrix that grows to at most
+/// kDenseLossMaxCities² entries, so rescans read instead of re-pricing.
+/// Above that, the Dlt4000 kernel prices edges on demand, and any other
+/// model still fills an n×n matrix once, in CostMatrix::Build's order. The
 /// same solver runs either way, so paths and stats are identical.
 std::vector<int> SolveLossPath(const LocateCostSoA& costs,
                                LossStats* stats = nullptr);

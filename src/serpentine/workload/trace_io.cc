@@ -1,7 +1,10 @@
 #include "serpentine/workload/trace_io.h"
 
 #include <cstdio>
+#include <limits>
 #include <sstream>
+
+#include "serpentine/util/parse.h"
 
 namespace serpentine::workload {
 
@@ -24,23 +27,27 @@ serpentine::StatusOr<std::vector<sched::Request>> ParseTrace(
   int line_number = 0;
   while (std::getline(in, line)) {
     ++line_number;
-    size_t start = line.find_first_not_of(" \t");
-    if (start == std::string::npos || line[start] == '#') continue;
-    std::istringstream fields(line);
+    // Whitespace, '\r' included (so CRLF files parse), separates fields;
+    // each field is then parsed whole.
+    std::istringstream split(line);
+    std::vector<std::string> fields;
+    for (std::string field; split >> field;) fields.push_back(field);
+    if (fields.empty() || fields[0].front() == '#') continue;
+    const std::string where = " on trace line " + std::to_string(line_number);
+    if (fields.size() > 2) {
+      return InvalidArgumentError("trailing data '" + fields[2] + "'" + where);
+    }
     sched::Request r;
-    if (!(fields >> r.segment)) {
-      return InvalidArgumentError("bad trace line " +
-                                  std::to_string(line_number) + ": " + line);
+    if (!ParseInt64(fields[0], 0, std::numeric_limits<int64_t>::max(),
+                    &r.segment)) {
+      return InvalidArgumentError("bad segment '" + fields[0] +
+                                  "' (want an integer >= 0)" + where);
     }
-    if (!(fields >> r.count)) r.count = 1;
-    std::string extra;
-    if (fields >> extra) {
-      return InvalidArgumentError("trailing data on trace line " +
-                                  std::to_string(line_number));
-    }
-    if (r.segment < 0 || r.count <= 0) {
-      return InvalidArgumentError("invalid request on trace line " +
-                                  std::to_string(line_number));
+    if (fields.size() == 2 &&
+        !ParseInt64(fields[1], 1, std::numeric_limits<int64_t>::max(),
+                    &r.count)) {
+      return InvalidArgumentError("bad count '" + fields[1] +
+                                  "' (want an integer >= 1)" + where);
     }
     trace.push_back(r);
   }

@@ -19,8 +19,10 @@ namespace serpentine::workload {
 /// count omitted when 1).
 std::string SerializeTrace(const std::vector<sched::Request>& trace);
 
-/// Parses the text format. Fails on malformed lines, negative segments or
-/// non-positive counts.
+/// Parses the text format. Each field must be a whole integer: "12abc",
+/// "1e3" or an out-of-range number is an error, as are a third field,
+/// negative segments and non-positive counts. The error names the line and
+/// the bad field.
 serpentine::StatusOr<std::vector<sched::Request>> ParseTrace(
     const std::string& text);
 

@@ -1,11 +1,10 @@
 #include "serpentine/sched/local_search.h"
 
-#include <map>
 #include <numeric>
-#include <utility>
 
 #include <gtest/gtest.h>
 
+#include "counting_locate_model.h"
 #include "serpentine/sched/estimator.h"
 #include "serpentine/sched/scheduler.h"
 #include "serpentine/util/lrand48.h"
@@ -13,38 +12,9 @@
 namespace serpentine::sched {
 namespace {
 
-/// Counts LocateSeconds calls per (src, dst) pair, to prove the per-batch
-/// cache inside ImproveSchedule plans each distinct pair at most once no
-/// matter how many passes and block sizes revisit it.
-class CountingLocateModel : public tape::LocateModel {
- public:
-  explicit CountingLocateModel(const tape::LocateModel& base)
-      : base_(base) {}
-
-  double LocateSeconds(tape::SegmentId src,
-                       tape::SegmentId dst) const override {
-    ++calls_[{src, dst}];
-    return base_.LocateSeconds(src, dst);
-  }
-  double ReadSeconds(tape::SegmentId from, tape::SegmentId to) const override {
-    return base_.ReadSeconds(from, to);
-  }
-  double RewindSeconds(tape::SegmentId from) const override {
-    return base_.RewindSeconds(from);
-  }
-  const tape::TapeGeometry& geometry() const override {
-    return base_.geometry();
-  }
-
-  const std::map<std::pair<tape::SegmentId, tape::SegmentId>, int>& calls()
-      const {
-    return calls_;
-  }
-
- private:
-  const tape::LocateModel& base_;
-  mutable std::map<std::pair<tape::SegmentId, tape::SegmentId>, int> calls_;
-};
+/// Proves the per-batch memo inside ImproveSchedule plans each distinct
+/// pair at most once no matter how many passes and block sizes revisit it.
+using tape::CountingLocateModel;
 
 class LocalSearchTest : public ::testing::Test {
  protected:

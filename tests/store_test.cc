@@ -441,6 +441,20 @@ TEST(TertiaryStoreTest, FullScanDisabledKeepsScheduling) {
   EXPECT_EQ(report->full_scans, 0);
 }
 
+TEST(TertiaryStoreTest, ReadAlgorithmReadsTheWholeTape) {
+  // READ means one sequential pass over the cartridge, not a seek through
+  // the requests in sorted order.
+  StoreOptions options;
+  options.cache_segments = 0;
+  options.algorithm = sched::Algorithm::kRead;
+  TertiaryStore store = MakeStore(options, 1);
+  UniformSubmit(store, 40);
+  auto report = store.Flush();
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report->full_scans, 1);
+  EXPECT_EQ(report->completed.size(), 40u);
+}
+
 // ---------------------------------------------------------------------------
 // Append / end-of-data (the load path).
 // ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include "serpentine/tape/locate_cache.h"
+#include "counting_locate_model.h"
 #include "serpentine/tape/locate_model.h"
 #include "serpentine/util/lrand48.h"
 
@@ -12,6 +12,8 @@ namespace serpentine::tsp {
 namespace {
 
 using tape::SegmentId;
+
+using tape::CountingLocateModel;
 
 class LocateCostSoATest : public ::testing::Test {
  protected:
@@ -93,22 +95,100 @@ TEST_F(LocateCostSoATest, CostForbidsSelfLoopsAndStartInEdges) {
 
 TEST_F(LocateCostSoATest, WrappedModelFallsBackToForwarding) {
   // Kernel detection is by exact dynamic type: a wrapper over the Dlt4000
-  // model (here the memoizing cache) must take the forwarding path even
-  // though every answer it gives is the Dlt4000's.
+  // model must take the forwarding path even though every answer it gives
+  // is the Dlt4000's.
   std::vector<SegmentId> out;
   std::vector<SegmentId> in;
   RandomEndpoints(16, 5, &out, &in);
-  tape::CachedLocateModel cached(model_, 16 * 16);
-  LocateCostSoA soa(cached, out, in);
+  CountingLocateModel counting(model_);
+  LocateCostSoA soa(counting, out, in);
   EXPECT_FALSE(soa.fast_kernel());
-  // The cache is plan-once mutable state, so the fallback inherits its
-  // no-concurrency answer.
+  // The fallback fills its memo under const calls.
   EXPECT_FALSE(soa.thread_safe());
   for (int i = 0; i < soa.size(); ++i) {
     for (int j = 0; j < soa.size(); ++j) {
       EXPECT_EQ(soa.LocateSeconds(i, j), model_.LocateSeconds(out[i], in[j]));
+      EXPECT_EQ(soa.Price(i, j), model_.LocateSeconds(out[i], in[j]));
     }
   }
+}
+
+// The locate cache lives on as the fallback path's memo: for a model the
+// kernel does not recognise, LocateSeconds asks the model once per distinct
+// (src, dst) segment pair and answers repeats from the memo.
+class LocateCacheTest : public LocateCostSoATest {};
+
+TEST_F(LocateCacheTest, ValuesMatchTheBaseModel) {
+  // The first ask and every repeat return the model's own answer.
+  std::vector<SegmentId> out;
+  std::vector<SegmentId> in;
+  RandomEndpoints(24, 3, &out, &in);
+  CountingLocateModel counting(model_);
+  LocateCostSoA soa(counting, out, in);
+  ASSERT_FALSE(soa.fast_kernel());
+  for (int rep = 0; rep < 2; ++rep) {
+    for (int i = 0; i < soa.size(); ++i) {
+      for (int j = 0; j < soa.size(); ++j) {
+        EXPECT_EQ(soa.LocateSeconds(i, j), model_.LocateSeconds(out[i], in[j]))
+            << out[i] << "->" << in[j] << " rep=" << rep;
+      }
+    }
+  }
+}
+
+TEST_F(LocateCacheTest, RepeatQueriesPlanOnce) {
+  // City 1 sits at segment 100, and cities 2 and 3 both at 50000: edges
+  // (1, 2) and (1, 3) are one segment pair, so the memo is keyed by
+  // segments, not cities.
+  std::vector<SegmentId> at = {0, 100, 50000, 50000};
+  CountingLocateModel counting(model_);
+  LocateCostSoA soa(counting, at, at);
+  for (int rep = 0; rep < 10; ++rep) {
+    EXPECT_EQ(soa.LocateSeconds(1, 2), model_.LocateSeconds(100, 50000));
+    EXPECT_EQ(soa.LocateSeconds(1, 3), model_.LocateSeconds(100, 50000));
+    EXPECT_EQ(soa.LocateSeconds(2, 1), model_.LocateSeconds(50000, 100));
+  }
+  EXPECT_EQ(counting.total_calls(), 2);  // one per distinct ordered pair
+  // Price never remembers, so it asks again.
+  EXPECT_EQ(soa.Price(1, 2), model_.LocateSeconds(100, 50000));
+  EXPECT_EQ(counting.calls().at({100, 50000}), 2);
+}
+
+TEST_F(LocateCacheTest, DirectionMatters) {
+  // (a, b) and (b, a) are distinct memo entries; serpentine locates are
+  // asymmetric.
+  std::vector<SegmentId> at = {0, 100, 50000};
+  CountingLocateModel counting(model_);
+  LocateCostSoA soa(counting, at, at);
+  soa.LocateSeconds(1, 2);
+  soa.LocateSeconds(2, 1);
+  EXPECT_EQ(counting.calls().at({100, 50000}), 1);
+  EXPECT_EQ(counting.calls().at({50000, 100}), 1);
+  EXPECT_NE(soa.LocateSeconds(1, 2), soa.LocateSeconds(2, 1));
+  EXPECT_EQ(counting.total_calls(), 2);
+}
+
+TEST_F(LocateCostSoATest, FallbackMemoSurvivesGrowth) {
+  // 400 x 400 distinct pairs outgrow the memo's first table several times
+  // over; every answer must survive, and a second pass must not ask the
+  // model again.
+  std::vector<SegmentId> out;
+  std::vector<SegmentId> in;
+  RandomEndpoints(400, 11, &out, &in);
+  CountingLocateModel counting(model_);
+  LocateCostSoA soa(counting, out, in);
+  for (int i = 0; i < soa.size(); ++i) {
+    for (int j = 0; j < soa.size(); ++j) soa.LocateSeconds(i, j);
+  }
+  const int asked = counting.total_calls();
+  EXPECT_LE(asked, 400 * 400);
+  for (int i = 0; i < soa.size(); ++i) {
+    for (int j = 0; j < soa.size(); ++j) {
+      ASSERT_EQ(soa.LocateSeconds(i, j), model_.LocateSeconds(out[i], in[j]))
+          << "i=" << i << " j=" << j;
+    }
+  }
+  EXPECT_EQ(counting.total_calls(), asked);
 }
 
 TEST_F(LocateCostSoATest, HelicalModelUsesFallback) {
@@ -117,7 +197,6 @@ TEST_F(LocateCostSoATest, HelicalModelUsesFallback) {
   std::vector<SegmentId> in = {0, 20, 1, 50000};
   LocateCostSoA soa(helical, out, in);
   EXPECT_FALSE(soa.fast_kernel());
-  EXPECT_TRUE(soa.thread_safe());  // helical is stateless
   for (int i = 0; i < soa.size(); ++i) {
     for (int j = 0; j < soa.size(); ++j) {
       EXPECT_EQ(soa.LocateSeconds(i, j), helical.LocateSeconds(out[i], in[j]));

@@ -25,7 +25,9 @@ TEST(CostMatrixTest, SelfLoopsAndStartInEdgesForbidden) {
   CostMatrix m = CostMatrix::Build(4, [](int, int) { return 1.0; });
   for (int i = 0; i < 4; ++i) {
     EXPECT_EQ(m.cost(i, i), kInfiniteCost);
-    if (i != 0) EXPECT_EQ(m.cost(i, 0), kInfiniteCost);
+    if (i != 0) {
+      EXPECT_EQ(m.cost(i, 0), kInfiniteCost);
+    }
   }
   EXPECT_EQ(m.cost(0, 1), 1.0);
 }

@@ -33,6 +33,10 @@ TEST(TraceIoTest, ParsesCommentsAndBlanks) {
   ASSERT_EQ(parsed->size(), 2u);
   EXPECT_EQ((*parsed)[0], (sched::Request{100, 1}));
   EXPECT_EQ((*parsed)[1], (sched::Request{200, 3}));
+  // CRLF line ends and tab separators parse the same.
+  auto crlf = ParseTrace("# header\r\n\r\n100\r\n200\t3\r\n");
+  ASSERT_TRUE(crlf.ok()) << crlf.status().ToString();
+  EXPECT_EQ(*crlf, *parsed);
 }
 
 TEST(TraceIoTest, EmptyTraceIsValid) {
@@ -46,6 +50,17 @@ TEST(TraceIoTest, RejectsMalformedLines) {
   EXPECT_FALSE(ParseTrace("100 2 7\n").ok());   // trailing field
   EXPECT_FALSE(ParseTrace("-5\n").ok());        // negative segment
   EXPECT_FALSE(ParseTrace("100 0\n").ok());     // non-positive count
+  // Each field must be one whole number, not a numeric prefix.
+  EXPECT_FALSE(ParseTrace("12abc\n").ok());
+  EXPECT_FALSE(ParseTrace("1e3\n").ok());
+  EXPECT_FALSE(ParseTrace("5 x\n").ok());
+  EXPECT_FALSE(ParseTrace("7 99999999999999999999\n").ok());
+  // The error names the line and the bad field.
+  auto bad = ParseTrace("# header\n100\n5 x\n");
+  ASSERT_FALSE(bad.ok());
+  const std::string message = bad.status().ToString();
+  EXPECT_NE(message.find("line 3"), std::string::npos) << message;
+  EXPECT_NE(message.find("'x'"), std::string::npos) << message;
 }
 
 TEST(TraceIoTest, SaveLoadFileAndReplay) {

@@ -100,7 +100,6 @@
 #include "serpentine/sim/online_server.h"
 #include "serpentine/sim/pipeline.h"
 #include "serpentine/sim/recovering_executor.h"
-#include "serpentine/tape/locate_cache.h"
 #include "serpentine/tape/locate_model.h"
 #include "serpentine/util/lrand48.h"
 #include "serpentine/util/parse.h"
@@ -346,18 +345,14 @@ int main(int argc, char** argv) {
   if (!args.trace_out.empty()) obs::TraceRecorder::SetActive(&recorder);
   if (!args.metrics_out.empty()) obs::MetricsRegistry::SetActive(&registry);
 
-  // One locate cache for the whole planning session: scheduling, Or-opt,
-  // and both estimates below share each pair's single plan.
-  tape::CachedLocateModel cached(
-      model, static_cast<int64_t>(requests.size()) * 16);
-  auto schedule = (*entry)->build(cached, args.initial, requests,
+  auto schedule = (*entry)->build(model, args.initial, requests,
                                   (*entry)->options);
   if (!schedule.ok()) {
     std::fprintf(stderr, "scheduling failed: %s\n",
                  schedule.status().ToString().c_str());
     return 1;
   }
-  if (args.improve) sched::ImproveSchedule(cached, &schedule.value());
+  if (args.improve) sched::ImproveSchedule(model, &schedule.value());
 
   sched::EstimateOptions estimate_options;
   estimate_options.rewind_at_end = args.rewind;
@@ -390,12 +385,12 @@ int main(int argc, char** argv) {
   }
 
   double scheduled =
-      sched::EstimateScheduleSeconds(cached, *schedule, estimate_options);
+      sched::EstimateScheduleSeconds(model, *schedule, estimate_options);
   auto fifo =
-      sched::BuildSchedule(cached, args.initial, requests,
+      sched::BuildSchedule(model, args.initial, requests,
                            sched::Algorithm::kFifo);
   double fifo_s =
-      sched::EstimateScheduleSeconds(cached, *fifo, estimate_options);
+      sched::EstimateScheduleSeconds(model, *fifo, estimate_options);
   std::printf("# %zu requests on %s (tape seed %d), algorithm %s%s\n",
               requests.size(), args.drive.c_str(), args.tape_seed,
               args.algorithm.c_str(), args.improve ? "+or-opt" : "");
@@ -414,16 +409,16 @@ int main(int argc, char** argv) {
     layout::OptimizerStats stats;
     layout::Placement proposed = optimizer.Optimize(heat, &stats);
     auto remapped = proposed.RemapBatch(requests);
-    auto replaced = (*entry)->build(cached, args.initial,
+    auto replaced = (*entry)->build(model, args.initial,
                                     std::move(remapped), (*entry)->options);
     if (!replaced.ok()) {
       std::fprintf(stderr, "re-placed scheduling failed: %s\n",
                    replaced.status().ToString().c_str());
       return 1;
     }
-    if (args.improve) sched::ImproveSchedule(cached, &replaced.value());
+    if (args.improve) sched::ImproveSchedule(model, &replaced.value());
     double replaced_s =
-        sched::EstimateScheduleSeconds(cached, *replaced, estimate_options);
+        sched::EstimateScheduleSeconds(model, *replaced, estimate_options);
     std::printf(
         "# layout optimization: %lld hot groups, %lld moved, %lld cap "
         "relaxations, hot-set goodness %.1f -> %.1f s\n",
@@ -448,15 +443,15 @@ int main(int argc, char** argv) {
       batches[b].assign(requests.begin() + at, requests.begin() + at + take);
       at += take;
     }
-    // Builds run on a worker thread against the planning cache while the
-    // (model-timed) drive executes on this thread against the raw model —
-    // distinct objects, so the overlap is race-free.
+    // Builds run on a worker thread while the (model-timed) drive executes
+    // on this thread; both only read the model, so the overlap is
+    // race-free.
     auto builder = [&](int, tape::SegmentId initial,
                        std::vector<sched::Request> batch)
         -> StatusOr<sched::Schedule> {
       auto s =
-          (*entry)->build(cached, initial, std::move(batch), (*entry)->options);
-      if (s.ok() && args.improve) sched::ImproveSchedule(cached, &s.value());
+          (*entry)->build(model, initial, std::move(batch), (*entry)->options);
+      if (s.ok() && args.improve) sched::ImproveSchedule(model, &s.value());
       return s;
     };
     sim::PipelineOptions popts;
@@ -631,12 +626,12 @@ int main(int argc, char** argv) {
     // The execution stack: ideal drive, fault process (a passthrough when
     // no profile is set), op meter, tracer outermost so the timeline sees
     // what execution experienced. Schedule repairs still consult the
-    // cached believed model.
+    // believed model.
     drive::ModelDrive base(model);
     drive::FaultDrive faulty(&base, injector.get());
     drive::MeteredDrive metered(&faulty);
     drive::TracingDrive traced(&metered);
-    sim::RecoveringExecutor executor(traced, cached, recovery);
+    sim::RecoveringExecutor executor(traced, model, recovery);
     sim::RecoveringExecutionResult res = executor.Execute(*schedule);
     if (!args.fault_profile.empty()) {
       std::printf("# fault execution (%s, seed %d): %.1f s "
