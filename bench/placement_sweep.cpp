@@ -118,10 +118,9 @@ int main() {
   auto begin = std::chrono::steady_clock::now();
   layout::Placement optimized = optimizer.Optimize(heat, &stats);
   std::printf(
-      "optimizer: %lld hot groups in %lld chains, %lld moved, %lld cap "
-      "relaxations, hot-set goodness %.1fs -> %.1fs (%.3fs wall)\n\n",
+      "optimizer: %lld hot groups, %lld moved, %lld cap relaxations, "
+      "hot-set goodness %.1fs -> %.1fs (%.3fs wall)\n\n",
       static_cast<long long>(stats.hot_groups),
-      static_cast<long long>(stats.chains),
       static_cast<long long>(stats.moved_groups),
       static_cast<long long>(stats.wear_relaxations),
       stats.hot_goodness_before, stats.hot_goodness_after,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "serpentine/sched/estimator.h"
 #include "serpentine/util/check.h"
 
 namespace serpentine::layout {
@@ -32,17 +31,7 @@ void HeatMap::RecordRequest(const sched::Request& request, int64_t weight) {
 
 void HeatMap::RecordBatch(const std::vector<sched::Request>& batch) {
   if (!batch.empty()) ++batches_recorded_;
-  int64_t prev_group = -1;
-  for (const sched::Request& r : batch) {
-    RecordRequest(r);
-    int64_t g = group_of(r.segment);
-    if (prev_group >= 0 && prev_group != g) {
-      int64_t a = std::min(prev_group, g);
-      int64_t b = std::max(prev_group, g);
-      ++affinity_[a * num_groups() + b];
-    }
-    prev_group = g;
-  }
+  for (const sched::Request& r : batch) RecordRequest(r);
 }
 
 void HeatMap::ObserveCompletion(const sim::ServingRequest& request,
@@ -65,22 +54,6 @@ void HeatMap::MergeWear(const sim::WearTracker& wear) {
   for (int i = 0; i < wear.bins(); ++i) {
     wear_baseline_[i] += wear.bin_passes(i);
   }
-}
-
-std::vector<Affinity> HeatMap::TopAffinities(size_t limit) const {
-  std::vector<Affinity> edges;
-  edges.reserve(affinity_.size());
-  for (const auto& [key, count] : affinity_) {
-    edges.push_back(Affinity{key / num_groups(), key % num_groups(), count});
-  }
-  std::sort(edges.begin(), edges.end(),
-            [](const Affinity& x, const Affinity& y) {
-              if (x.count != y.count) return x.count > y.count;
-              if (x.a != y.a) return x.a < y.a;
-              return x.b < y.b;
-            });
-  if (edges.size() > limit) edges.resize(limit);
-  return edges;
 }
 
 }  // namespace serpentine::layout

@@ -1,9 +1,8 @@
 // Workload heat accounting at placement granularity. The layout loop's
 // input side: every served request lands in a per-group access counter,
-// consecutive requests accumulate co-access affinity, and a WearTracker's
-// per-bin pass counts can be merged in as the media-wear baseline. The
-// PlacementOptimizer consumes the resulting HeatMap to propose a new
-// segment→physical mapping (docs/placement.md).
+// and a WearTracker's per-bin pass counts can be merged in as the
+// media-wear baseline. The PlacementOptimizer consumes the resulting
+// HeatMap to propose a new segment→physical mapping (docs/placement.md).
 //
 // Granularity: segments are aggregated into fixed-size *groups* (default
 // 704 segments ≈ one nominal forward-track section) — the unit of
@@ -13,7 +12,7 @@
 #define SERPENTINE_LAYOUT_HEAT_MAP_H_
 
 #include <cstdint>
-#include <unordered_map>
+#include <functional>
 #include <vector>
 
 #include "serpentine/sched/request.h"
@@ -23,18 +22,10 @@
 
 namespace serpentine::layout {
 
-/// One co-access affinity edge: groups `a` and `b` (a < b) were touched
-/// by consecutive requests `count` times.
-struct Affinity {
-  int64_t a = 0;
-  int64_t b = 0;
-  int64_t count = 0;
-};
-
-/// Per-group access counts + co-access affinity + optional wear baseline.
+/// Per-group access counts + optional wear baseline.
 ///
 /// Feed it from any of the observation surfaces:
-///   * batch traffic: RecordBatch (consecutive-request affinity included);
+///   * batch traffic: RecordBatch;
 ///   * online serving: hand CompletionObserver() to
 ///     sim::ServingCore::set_completion_callback — completions accumulate
 ///     heat without perturbing the serving trajectory;
@@ -62,9 +53,8 @@ class HeatMap {
   // ---- recording ----
   /// Adds `weight` accesses to every group the request span touches.
   void RecordRequest(const sched::Request& request, int64_t weight = 1);
-  /// Records every request of a batch, plus one affinity count between the
-  /// groups of each consecutive request pair (arrival order) that lands in
-  /// two different groups.
+  /// Records every request of a batch; a non-empty batch also counts one
+  /// toward batches_recorded().
   void RecordBatch(const std::vector<sched::Request>& batch);
   /// Completion-observer hook for sim::ServingCore: counts served (ok)
   /// completions, ignores failures. Never perturbs the serving trajectory
@@ -89,9 +79,6 @@ class HeatMap {
   /// one batch costs one key-point backup, not five — the scheduler reads
   /// through a visited section in arrival-ascending order).
   int64_t batches_recorded() const { return batches_recorded_; }
-  /// The heaviest affinity edges, sorted by count descending (ties: lower
-  /// (a, b) first, so the order is deterministic).
-  std::vector<Affinity> TopAffinities(size_t limit) const;
   /// Wear baseline bins (empty until MergeWear is called).
   const std::vector<int64_t>& wear_baseline() const { return wear_baseline_; }
 
@@ -102,8 +89,6 @@ class HeatMap {
   int64_t total_heat_ = 0;
   int64_t observed_completions_ = 0;
   int64_t batches_recorded_ = 0;
-  /// Affinity keyed by a * num_groups + b with a < b.
-  std::unordered_map<int64_t, int64_t> affinity_;
   std::vector<int64_t> wear_baseline_;
 };
 

@@ -8,6 +8,7 @@
 
 #include "serpentine/sched/estimator.h"
 #include "serpentine/sim/executor.h"
+#include "serpentine/sim/online_server.h"
 #include "serpentine/sim/serving_core.h"
 #include "serpentine/util/check.h"
 #include "serpentine/util/status.h"
@@ -147,21 +148,19 @@ StatusOr<InterleavedResult> RunInterleavedMigration(
     const tape::Dlt4000LocateModel& model, const MigrationPlan& plan,
     const Placement& target, const sched::Registry& registry,
     const InterleavedOptions& options) {
-  if (!(options.arrival_rate_per_hour > 0.0)) {
-    return InvalidArgumentError(
-        "RunInterleavedMigration: arrival_rate_per_hour must be > 0");
-  }
-  StatusOr<const sched::RegistryEntry*> entry =
-      registry.Resolve(options.algorithm);
-  if (!entry.ok()) return entry.status();
-  const tape::TapeGeometry& geometry = model.geometry();
-
   // Foreground Poisson stream over the physical segment space: the
   // online server's generator (gap, then segment, from one rand48 stream).
   sim::OnlineServerConfig foreground;
   foreground.arrival_rate_per_hour = options.arrival_rate_per_hour;
   foreground.total_requests = options.foreground_requests;
   foreground.seed = options.seed;
+  SERPENTINE_RETURN_IF_ERROR(
+      AnnotateStatus(sim::ValidateOnlineServerConfig(foreground),
+                     "RunInterleavedMigration"));
+  StatusOr<const sched::RegistryEntry*> entry =
+      registry.Resolve(options.algorithm);
+  if (!entry.ok()) return entry.status();
+  const tape::TapeGeometry& geometry = model.geometry();
   const std::vector<sim::ServingRequest> arrivals =
       sim::GenerateOnlineArrivals(foreground, geometry.total_segments());
 
@@ -230,9 +229,9 @@ StatusOr<InterleavedResult> RunInterleavedMigration(
       double expected = options.arrival_rate_per_hour / 3600.0 *
                         per_group_seconds * static_cast<double>(full_slice);
       int64_t slice = full_slice;
-      if (expected <= options.full_below) {
+      if (expected <= 2.0) {
         ++result.full_slices;
-      } else if (expected <= options.half_below) {
+      } else if (expected <= 8.0) {
         slice = (full_slice + 1) / 2;
         ++result.half_slices;
       } else {

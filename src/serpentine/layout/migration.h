@@ -86,12 +86,6 @@ struct InterleavedOptions {
   /// Registry entry scheduling foreground dispatch batches.
   std::string algorithm = "loss";
   int32_t seed = 1;
-  /// Ladder thresholds: expected foreground arrivals during a full slice
-  /// at or below `full_below` → run the full slice; at or below
-  /// `half_below` → half; above → quarter (never below one group, so the
-  /// migration always makes progress).
-  double full_below = 2.0;
-  double half_below = 8.0;
 };
 
 struct InterleavedResult {
@@ -113,9 +107,14 @@ struct InterleavedResult {
 
 /// Shares one model drive between `plan` and foreground Poisson traffic:
 /// foreground requests dispatch whenever any are queued; migration slices
-/// run only on an empty queue, sized by the ladder above. Foreground
-/// requests address the post-migration (physical) space uniformly.
-/// Deterministic for a given (model, plan, options).
+/// run only on an empty queue, sized by the ladder: expected foreground
+/// arrivals during a full slice at or below 2 → the full slice; at or
+/// below 8 → half; above → quarter (never below one group, so the
+/// migration always makes progress). Foreground requests address the
+/// post-migration (physical) space uniformly. The foreground stream must
+/// pass sim::ValidateOnlineServerConfig (a finite rate > 0 and
+/// 1 <= foreground_requests < 2^32). Deterministic for a given (model,
+/// plan, options).
 StatusOr<InterleavedResult> RunInterleavedMigration(
     const tape::Dlt4000LocateModel& model, const MigrationPlan& plan,
     const Placement& target, const sched::Registry& registry,

@@ -1,7 +1,6 @@
 #include "serpentine/layout/placement.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <numeric>
 
@@ -120,25 +119,38 @@ int64_t Placement::moved_groups() const {
 
 // ------------------------------------------------------- PlacementOptimizer
 
+namespace {
+
+// Monte-Carlo probe sources per slot-goodness estimate, and their seed.
+constexpr int kProbeSources = 64;
+constexpr int32_t kProbeSeed = 1;
+// Probe sources drawn from the chained-tour turnaround region (the top
+// 1/16 of segment space): three quarters of them. Schedulers serve
+// batches in ascending segment order, so with batch chaining the head
+// starts most locates parked near the top of segment space.
+constexpr int kSteadyStateProbes = kProbeSources * 3 / 4;
+// Ceiling on one group's projected per-batch serve rate. A group
+// revisited within a batch re-pays its key-point backup on every serve,
+// so duplicates do wear the funnel bins — but weighting them fully makes
+// the heaviest group look unplaceable anywhere, forcing cap relaxations.
+constexpr double kMaxGroupVisitRate = 1.0;
+
+}  // namespace
+
 PlacementOptimizer::PlacementOptimizer(const tape::Dlt4000LocateModel& model,
                                        OptimizerOptions options)
     : model_(model), options_(options) {
-  SERPENTINE_CHECK_GT(options_.probe_sources, 0);
-  SERPENTINE_CHECK_GT(options_.max_chain_groups, 0);
-  SERPENTINE_CHECK_GT(options_.wear_bins, 0);
-  Lrand48 rng(options_.probe_seed);
-  probes_.reserve(options_.probe_sources);
+  Lrand48 rng(kProbeSeed);
+  probes_.reserve(kProbeSources);
   const tape::SegmentId total = model_.geometry().total_segments();
   // Probe sources model where the head actually is when a locate starts.
   // Chained tours are sorted by segment, so every batch parks the head
   // near the top of segment space; the steady-state share of the probes
   // samples that turnaround region, the rest are uniform (cold starts and
   // mid-tour excursions).
-  const int steady = static_cast<int>(
-      options_.steady_state_fraction * options_.probe_sources);
   const tape::SegmentId tail = std::max<tape::SegmentId>(1, total / 16);
-  for (int i = 0; i < options_.probe_sources; ++i) {
-    if (i < steady) {
+  for (int i = 0; i < kProbeSources; ++i) {
+    if (i < kSteadyStateProbes) {
       probes_.push_back(total - 1 - rng.NextBounded(tail));
     } else {
       probes_.push_back(rng.NextBounded(total));
@@ -156,20 +168,6 @@ double PlacementOptimizer::SlotGoodness(int64_t slot,
   }
   return sum / static_cast<double>(probes_.size());
 }
-
-namespace {
-
-// A co-access chain under construction: an ordered list of hot groups.
-// Chains merge end-to-end when an affinity edge joins two endpoints, so a
-// chain is always placeable as one contiguous slot run with its heaviest
-// co-access pairs adjacent.
-struct Chain {
-  std::vector<int64_t> groups;
-  int64_t heat = 0;
-  bool alive = true;
-};
-
-}  // namespace
 
 Placement PlacementOptimizer::Optimize(const HeatMap& heat,
                                        OptimizerStats* stats) const {
@@ -201,7 +199,7 @@ Placement PlacementOptimizer::Optimize(const HeatMap& heat,
   // model-derived window, not merely its own bin; co-locating hot groups
   // deep into one section funnels all their backups over the same bins.
   const int bins = heat.wear_baseline().empty()
-                       ? options_.wear_bins
+                       ? sim::kDefaultWearBins
                        : static_cast<int>(heat.wear_baseline().size());
   const double bin_width =
       model_.geometry().params().physical_sections / bins;
@@ -224,7 +222,7 @@ Placement PlacementOptimizer::Optimize(const HeatMap& heat,
   const double batches_seen =
       static_cast<double>(std::max<int64_t>(1, heat.batches_recorded()));
   auto visit_rate = [&](int64_t g) {
-    return std::min(options_.max_group_visit_rate,
+    return std::min(kMaxGroupVisitRate,
                     static_cast<double>(heat.group_heat(g)) / batches_seen);
   };
   std::vector<double> load(bins, 0.0);
@@ -257,98 +255,33 @@ Placement PlacementOptimizer::Optimize(const HeatMap& heat,
   const double identity_peak = *std::max_element(load.begin(), load.end());
   const double cap = options_.wear_cap_factor * identity_peak;
 
-  // Hot set: the smallest heat-descending prefix covering hot_fraction of
-  // the total.
-  std::vector<int64_t> by_heat;
+  // Hot set: every group with observed traffic, hottest first. Leaving a
+  // lukewarm residue scattered across the tape forces mid-tape excursions
+  // that wind the head back over the hot core, so the whole set moves.
+  std::vector<int64_t> hot_groups;
   for (int64_t g = 0; g < g_count; ++g) {
     if (heat.group_heat(g) > 0 && !(has_short && g == g_count - 1)) {
-      by_heat.push_back(g);
+      hot_groups.push_back(g);
     }
   }
-  std::sort(by_heat.begin(), by_heat.end(), [&](int64_t x, int64_t y) {
+  if (hot_groups.empty()) return identity;
+  std::sort(hot_groups.begin(), hot_groups.end(), [&](int64_t x, int64_t y) {
     if (heat.group_heat(x) != heat.group_heat(y)) {
       return heat.group_heat(x) > heat.group_heat(y);
     }
     return x < y;
   });
-  const int64_t target_heat = static_cast<int64_t>(
-      std::ceil(options_.hot_fraction *
-                static_cast<double>(heat.total_heat())));
-  std::vector<char> hot(g_count, 0);
-  std::vector<int64_t> hot_groups;
-  int64_t covered = 0;
-  for (int64_t g : by_heat) {
-    if (covered >= target_heat) break;
-    hot[g] = 1;
-    hot_groups.push_back(g);
-    covered += heat.group_heat(g);
-  }
-  if (hot_groups.empty()) return identity;
   stats->hot_groups = static_cast<int64_t>(hot_groups.size());
 
-  // Chain hot groups along their heaviest affinity edges (endpoint merges
-  // only, so every chain stays a simple path).
-  std::vector<Chain> chains;
-  std::vector<int64_t> chain_of(g_count, -1);
-  for (int64_t g : hot_groups) {
-    chain_of[g] = static_cast<int64_t>(chains.size());
-    chains.push_back(Chain{{g}, heat.group_heat(g), true});
-  }
-  for (const Affinity& e : heat.TopAffinities(options_.max_affinities)) {
-    if (e.a >= g_count || e.b >= g_count) continue;
-    if (!hot[e.a] || !hot[e.b]) continue;
-    int64_t ca = chain_of[e.a];
-    int64_t cb = chain_of[e.b];
-    if (ca == cb) continue;
-    Chain& A = chains[ca];
-    Chain& B = chains[cb];
-    if (static_cast<int64_t>(A.groups.size() + B.groups.size()) >
-        options_.max_chain_groups) {
-      continue;
-    }
-    bool a_end = A.groups.front() == e.a || A.groups.back() == e.a;
-    bool b_end = B.groups.front() == e.b || B.groups.back() == e.b;
-    if (!a_end || !b_end) continue;
-    if (A.groups.back() != e.a) {
-      std::reverse(A.groups.begin(), A.groups.end());
-    }
-    if (B.groups.front() != e.b) {
-      std::reverse(B.groups.begin(), B.groups.end());
-    }
-    for (int64_t g : B.groups) {
-      chain_of[g] = ca;
-      A.groups.push_back(g);
-    }
-    A.heat += B.heat;
-    B.alive = false;
-    B.groups.clear();
-  }
-  std::vector<const Chain*> placed_order;
-  for (const Chain& c : chains) {
-    if (c.alive) placed_order.push_back(&c);
-  }
-  // Heat *density* (per-group) ordering: total-heat ordering lets one
-  // long chain with a heavy head drag its lukewarm tail into the prime
-  // end-of-tape slots, flattening the heat gradient the tail anchor is
-  // built on.
-  std::sort(placed_order.begin(), placed_order.end(),
-            [](const Chain* x, const Chain* y) {
-              int64_t lhs = x->heat * static_cast<int64_t>(y->groups.size());
-              int64_t rhs = y->heat * static_cast<int64_t>(x->groups.size());
-              if (lhs != rhs) return lhs > rhs;
-              return x->groups.front() < y->groups.front();
-            });
-  stats->chains = static_cast<int64_t>(placed_order.size());
-
-  // Tail-anchored assignment: heaviest chain first, the topmost contiguous
-  // free run in segment space that respects the wear cap. Chained tours
-  // are served in ascending segment order, so every batch parks the head
-  // at the top of segment space — a tail-packed hot core means each tour
+  // Tail-anchored assignment: hottest group first, into the topmost free
+  // slot in segment space that respects the wear cap. Chained tours are
+  // served in ascending segment order, so every batch parks the head at
+  // the top of segment space — a tail-packed hot core means each tour
   // ends inside the hot set instead of winding across it, which both
   // shortens the next batch's locates and keeps cross-core pass-over
-  // motion off the wear hub. The cap only vetoes: a chain slides down
+  // motion off the wear hub. The cap only vetoes: a group slides down
   // from the tail until its projected bins fit, and is counted as a
-  // relaxation when no compliant run exists.
+  // relaxation when no compliant slot exists.
   std::vector<int64_t> order(g_count, -1);
   std::vector<char> slot_free(g_count, 1);
   std::vector<char> group_placed(g_count, 0);
@@ -357,53 +290,30 @@ Placement PlacementOptimizer::Optimize(const HeatMap& heat,
     slot_free[g_count - 1] = 0;
     group_placed[g_count - 1] = 1;
   }
-  std::vector<double> delta(bins, 0.0);
-  std::vector<int> touched;
-  for (const Chain* chain : placed_order) {
-    const int64_t len = static_cast<int64_t>(chain->groups.size());
-    // The chain's load leaves its identity bins before feasibility is
-    // judged — it is moving no matter which run wins.
-    for (int64_t g : chain->groups) {
-      smear(load, g, visit_rate(g), -1.0);
-    }
+  for (int64_t g : hot_groups) {
+    const double rate = visit_rate(g);
+    // The group's load leaves its identity bins before feasibility is
+    // judged — it is moving no matter which slot wins.
+    smear(load, g, rate, -1.0);
     int64_t best_slot = -1, relax_slot = -1;
     double relax_overflow = std::numeric_limits<double>::infinity();
-    int64_t free_below = 0;  // free slots in [s, s + len) as s descends
-    for (int64_t i = g_count - len; i < g_count; ++i) {
-      free_below += slot_free[i];
-    }
-    for (int64_t s = g_count - len; s >= 0; --s) {
-      if (free_below == len) {
-        // Feasible iff every scan-window bin the chain would load stays
-        // under the cap (delta accumulates overlap between the chain's
-        // own members' windows). Infeasible runs are ranked by how far
-        // their worst bin overshoots, so a forced relaxation lands where
-        // it concentrates the least wear.
-        for (int b : touched) delta[b] = 0.0;
-        touched.clear();
-        double overflow = 0.0;
-        for (int64_t i = 0; i < len; ++i) {
-          int lo = window_lo[s + i];
-          int hi = window_hi[s + i];
-          double add = visit_rate(chain->groups[i]);
-          for (int b = lo; b <= hi; ++b) {
-            if (delta[b] == 0.0) touched.push_back(b);
-            delta[b] += add;
-            overflow = std::max(overflow, load[b] + delta[b] - cap);
-          }
-        }
-        if (overflow <= 0.0) {
-          best_slot = s;
-          break;  // topmost compliant run wins
-        }
-        if (overflow < relax_overflow) {
-          relax_overflow = overflow;
-          relax_slot = s;
-        }
+    for (int64_t s = g_count - 1; s >= 0; --s) {
+      if (!slot_free[s]) continue;
+      // Feasible iff every scan-window bin the group would load stays
+      // under the cap. Infeasible slots are ranked by how far their worst
+      // bin overshoots, so a forced relaxation lands where it
+      // concentrates the least wear.
+      double overflow = 0.0;
+      for (int b = window_lo[s]; b <= window_hi[s]; ++b) {
+        overflow = std::max(overflow, load[b] + rate - cap);
       }
-      if (s > 0) {
-        free_below += slot_free[s - 1];
-        free_below -= slot_free[s + len - 1];
+      if (overflow <= 0.0) {
+        best_slot = s;
+        break;  // topmost compliant slot wins
+      }
+      if (overflow < relax_overflow) {
+        relax_overflow = overflow;
+        relax_slot = s;
       }
     }
     if (best_slot < 0) {
@@ -411,15 +321,10 @@ Placement PlacementOptimizer::Optimize(const HeatMap& heat,
       ++stats->wear_relaxations;
     }
     SERPENTINE_CHECK_GE(best_slot, 0);
-    for (int64_t i = 0; i < len; ++i) {
-      int64_t g = chain->groups[i];
-      order[best_slot + i] = g;
-      slot_free[best_slot + i] = 0;
-      group_placed[g] = 1;
-      smear(load, best_slot + i, visit_rate(g), +1.0);
-    }
-    for (int b : touched) delta[b] = 0.0;
-    touched.clear();
+    order[best_slot] = g;
+    slot_free[best_slot] = 0;
+    group_placed[g] = 1;
+    smear(load, best_slot, rate, +1.0);
   }
   // Cold groups: home slot when still free, else the remaining free slots
   // in index order.
@@ -474,8 +379,14 @@ StatusOr<PlacementEvaluation> EvaluatePlacement(
         " segments, model tape has " +
         std::to_string(model.geometry().total_segments()));
   }
+  if (options.batches < 1 || options.batch_size < 1) {
+    return InvalidArgumentError(
+        "EvaluatePlacement: batches and batch_size must be >= 1, got " +
+        std::to_string(options.batches) + " and " +
+        std::to_string(options.batch_size));
+  }
   PlacementEvaluation eval;
-  sim::WearTracker wear(&model.geometry(), options.wear_bins);
+  sim::WearTracker wear(&model.geometry());
   tape::SegmentId position = 0;
   for (int b = 0; b < options.batches; ++b) {
     std::vector<sched::Request> logical = generator.Batch(options.batch_size);
@@ -484,14 +395,11 @@ StatusOr<PlacementEvaluation> EvaluatePlacement(
     StatusOr<sched::Schedule> schedule =
         entry.build(model, position, std::move(physical), entry.options);
     if (!schedule.ok()) return schedule.status();
-    sched::EstimateOptions exec_options;
-    exec_options.rewind_at_end = options.rewind_between_batches;
     sim::ExecutionResult result =
-        sim::ExecuteSchedule(model, schedule.value(), exec_options);
-    wear.RecordSchedule(model, schedule.value(),
-                        options.rewind_between_batches);
+        sim::ExecuteSchedule(model, schedule.value());
+    wear.RecordSchedule(model, schedule.value());
     eval.makespan_seconds += result.total_seconds;
-    position = options.rewind_between_batches ? 0 : result.final_position;
+    position = result.final_position;
     ++eval.batches;
   }
   eval.max_passes = wear.max_passes();

@@ -15,16 +15,18 @@
 // batch's hot serves start from next door instead of winding the head
 // back across the tape (the scan pass-over that dominates both makespan
 // and the wear peak under a mid-tape hot core). Concretely:
-//   * hot groups are sorted by heat density and placed from the tail of
-//     slot space downward, hottest last;
+//   * the hot set is every group with observed heat (the pinned remainder
+//     group aside); its groups are placed one at a time, hottest first
+//     (ties: lower id), each into the topmost free slot the wear cap
+//     admits, so the hottest group lands at the extreme end;
 //   * slot goodness (Monte-Carlo mean locate time, with most probe
 //     sources drawn from the chained-tour turnaround region) is reported
 //     in OptimizerStats for diagnostics;
-//   * wear leveling is a veto, not a score — each candidate run's
+//   * wear leveling is a veto, not a score — each candidate slot's
 //     projected heat is smeared over the locate footprint its serves drag
-//     the head across, and a run is rejected while any bin would project
+//     the head across, and a slot is rejected while any bin would project
 //     more motion than the identity layout's worst bin times
-//     wear_cap_factor; when no compliant run exists the least-overflowing
+//     wear_cap_factor; when no compliant slot exists the least-overflowing
 //     one is taken (counted as a relaxation).
 #ifndef SERPENTINE_LAYOUT_PLACEMENT_H_
 #define SERPENTINE_LAYOUT_PLACEMENT_H_
@@ -94,34 +96,6 @@ class Placement {
 
 /// Optimizer knobs. Defaults suit the DLT4000 geometry the benches use.
 struct OptimizerOptions {
-  /// Monte-Carlo probe sources per slot-goodness estimate.
-  int probe_sources = 64;
-  int32_t probe_seed = 1;
-  /// Fraction of probe sources drawn from the chained-tour turnaround
-  /// region (the top 1/16 of segment space). Schedulers serve batches in
-  /// ascending segment order, so with batch chaining the head starts most
-  /// locates parked near the top of segment space — goodness scored from
-  /// there steers the hot set toward the tail, where each tour ends
-  /// inside the hot core instead of winding across it.
-  double steady_state_fraction = 0.75;
-  /// Fraction of total heat the relocated hot set must cover. The default
-  /// moves every group with observed traffic: leaving a lukewarm residue
-  /// scattered across the tape forces mid-tape excursions that wind the
-  /// head back over the hot core (measured as both extra makespan and a
-  /// taller wear hub).
-  double hot_fraction = 1.0;
-  /// Longest co-access chain placed as one contiguous run. Chaining is
-  /// off by default: under tail-anchored placement the heat gradient
-  /// already makes co-accessed hot groups near-adjacent, and dragging a
-  /// chain's lukewarm tail into the prime end-of-tape slots measurably
-  /// raises both makespan and peak wear. Raise the limit only for
-  /// workloads with strong cross-group runs.
-  int64_t max_chain_groups = 1;
-  /// Affinity edges considered when chaining.
-  size_t max_affinities = 4096;
-  /// Wear bins when the HeatMap carries no baseline (else the baseline's
-  /// bin count wins).
-  int wear_bins = 140;
   /// Per-bin projected motion cap, as a multiple of the identity layout's
   /// worst bin. Each slot's heat is smeared over its model-exact scan
   /// window [preceding key point, destination] — the tape a serve
@@ -129,19 +103,11 @@ struct OptimizerOptions {
   /// project more motion than the seed layout's hottest region"; below
   /// 1.0 forces strict leveling.
   double wear_cap_factor = 0.9;
-  /// Ceiling on one group's projected per-batch serve rate. A group
-  /// revisited within a batch re-pays its key-point backup on every
-  /// serve, so duplicates do wear the funnel bins — but weighting them
-  /// fully makes the heaviest group look unplaceable anywhere, forcing
-  /// cap relaxations. The ceiling keeps the projection conservative
-  /// without letting duplicates dominate the veto.
-  double max_group_visit_rate = 1.0;
 };
 
 /// What the optimizer did, for logs and benches.
 struct OptimizerStats {
   int64_t hot_groups = 0;
-  int64_t chains = 0;
   int64_t moved_groups = 0;
   int64_t wear_relaxations = 0;
   /// Heat-weighted mean slot goodness (seconds) of the hot set before and
@@ -161,9 +127,9 @@ class PlacementOptimizer {
   Placement Optimize(const HeatMap& heat, OptimizerStats* stats = nullptr)
       const;
 
-  /// Mean locate seconds from `probe_sources` random head positions to
-  /// the start of slot `slot` — the optimizer's goodness score (lower =
-  /// faster region).
+  /// Mean locate seconds from the optimizer's 64 probe head positions to
+  /// the start of slot `slot` — the goodness score OptimizerStats reports
+  /// (lower = faster region).
   double SlotGoodness(int64_t slot, int64_t group_segments) const;
 
  private:
@@ -187,14 +153,13 @@ struct PlacementEvaluation {
 struct EvaluateOptions {
   int batches = 20;
   int batch_size = 192;
-  int wear_bins = 140;
-  bool rewind_between_batches = false;
 };
 
 /// Runs `options.batches` chained batches from `generator` through
 /// `entry`'s scheduler under `placement` (logical batches remapped to
-/// physical addresses) and totals time + wear. The head carries across
-/// batches, as in the paper's chained-batch experiments.
+/// physical addresses) and totals time + wear (sim::kDefaultWearBins
+/// bins). The head carries across batches, as in the paper's
+/// chained-batch experiments. Fails unless both counts are >= 1.
 StatusOr<PlacementEvaluation> EvaluatePlacement(
     const tape::Dlt4000LocateModel& model, const Placement& placement,
     workload::RequestGenerator& generator, const sched::RegistryEntry& entry,

@@ -28,7 +28,7 @@ double EstimateScheduleSeconds(const tape::LocateModel& model,
     SERPENTINE_CHECK_GE(r.segment, 0);
     SERPENTINE_CHECK_LE(r.last(), g.total_segments() - 1);
     total += model.LocateSeconds(position, r.segment);
-    if (options.include_reads) total += model.ReadSeconds(r.segment, r.last());
+    total += model.ReadSeconds(r.segment, r.last());
     position = OutPosition(g, r);
   }
   if (options.rewind_at_end) total += model.RewindSeconds(position);

@@ -14,10 +14,6 @@ struct EstimateOptions {
   /// single-reel cartridge, paper footnote 5). READ schedules always
   /// include their rewind.
   bool rewind_at_end = false;
-  /// Include data-transfer time (per-segment reads). The paper's per-locate
-  /// figures are dominated by positioning; transfers add ~22 ms per 32 KB
-  /// segment.
-  bool include_reads = true;
 };
 
 /// Head position after servicing `r` (the paper's x_out = x+1, generalized

@@ -37,14 +37,9 @@ ExecutionResult ExecuteSchedule(drive::Drive& drive,
     SERPENTINE_CHECK_LE(req.last(), g.total_segments() - 1);
     r.locate_seconds += drive.Locate(req.segment).times.locate_seconds;
     ++r.locates;
-    if (options.include_reads) {
-      r.read_seconds +=
-          drive.ReadSegments(req.segment, req.last()).times.read_seconds;
-      r.segments_read += req.count;
-    } else {
-      // Estimate-only accounting still moves the head past the span.
-      drive.SetPosition(sched::OutPosition(g, req));
-    }
+    r.read_seconds +=
+        drive.ReadSegments(req.segment, req.last()).times.read_seconds;
+    r.segments_read += req.count;
   }
   if (options.rewind_at_end) {
     r.rewind_seconds = drive.Rewind().times.rewind_seconds;

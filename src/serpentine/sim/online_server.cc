@@ -110,13 +110,6 @@ Status ValidateOnlineServerConfig(const OnlineServerConfig& config) {
           "disabled), got " +
           std::to_string(config.degradation.queue_depth_step));
     }
-    if (std::isnan(config.degradation.cpu_budget_seconds) ||
-        config.degradation.cpu_budget_seconds <= 0.0) {
-      return InvalidArgumentError(
-          "DegradationPolicy: cpu_budget_seconds must be > 0 (inf = "
-          "disabled), got " +
-          std::to_string(config.degradation.cpu_budget_seconds));
-    }
   }
   if (config.breaker_enabled) {
     SERPENTINE_RETURN_IF_ERROR(drive::ValidateBreakerPolicy(config.breaker));

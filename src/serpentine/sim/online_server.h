@@ -25,8 +25,8 @@
 //     ahead of priority order;
 //   * a graceful-degradation ladder that steps the scheduler down
 //     (loss-mt-oropt → loss-mt → scan → fifo by default, via
-//     sched::Registry names) as queue depth — and optionally per-batch
-//     scheduling CPU budget — exceed thresholds, recorded as an obs gauge;
+//     sched::Registry names) as queue depth crosses multiples of a step,
+//     recorded as an obs gauge;
 //   * a drive::HealthDrive circuit breaker over the fault stack, with
 //     RecoveringExecutor waiting out open periods instead of burning its
 //     retry budget.
@@ -77,17 +77,10 @@ struct DegradationPolicy {
   /// 0 replaces OnlineServerConfig::algorithm as the baseline scheduler.
   std::vector<std::string> rungs = {"loss-mt-oropt", "loss-mt", "scan",
                                     "fifo"};
-  /// Queue-depth trigger: each full multiple of this many pending requests
-  /// steps one rung down (clamped to the last rung). 0 disables the
-  /// depth trigger. Deterministic.
+  /// The ladder's only trigger, queue depth: each full multiple of this
+  /// many pending requests steps one rung down (clamped to the last rung).
+  /// 0 keeps every batch on rung 0.
   int queue_depth_step = 0;
-  /// CPU-budget trigger: when one batch's schedule construction takes
-  /// longer than this in *wall-clock* seconds, the next batch runs one
-  /// rung lower (recovering one rung per under-budget batch). Infinity
-  /// (default) disables it. NOTE: this trigger reads the host clock and is
-  /// therefore NOT deterministic across machines or runs; leave it at
-  /// infinity wherever reproducibility matters.
-  double cpu_budget_seconds = std::numeric_limits<double>::infinity();
 };
 
 struct OnlineServerConfig {

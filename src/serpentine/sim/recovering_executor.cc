@@ -113,8 +113,9 @@ RecoveringExecutionResult RecoveringExecutor::ExecuteFullScan(
     } else {
       ++r.requests_serviced;
     }
+    // The pass has delivered the whole request once it reads req.last().
     if (on_step) {
-      on_step(req, drive_->model().ReadSeconds(0, req.segment) + recovery_before,
+      on_step(req, drive_->model().ReadSeconds(0, req.last()) + recovery_before,
               ok);
     }
   }
@@ -224,59 +225,53 @@ RecoveringExecutionResult RecoveringExecutor::Execute(
     // -------- read phase (with retries) --------
     bool permanent_failure = false;
     if (located) {
-      if (!options_.estimate.include_reads) {
-        drive_->SetPosition(sched::OutPosition(g, req));
-        ++r.requests_serviced;
-        if (on_step) on_step(req, elapsed, true);
-      } else {
-        for (int attempt = 0;;) {
-          drive::OpResult op = drive_->ReadSegments(req.segment, req.last());
-          if (op.status == drive::OpStatus::kOk) {
-            r.read_seconds += op.times.read_seconds;
-            elapsed += op.times.read_seconds;
-            r.segments_read += req.count;
-            ++r.requests_serviced;
-            if (on_step) on_step(req, elapsed, true);
-            break;
-          }
-          if (op.status == drive::OpStatus::kCircuitOpen) {
-            // As in the locate phase: charge the wait, keep the retry
-            // budget intact, re-issue as the probe.
-            ++r.breaker_fast_fails;
-            r.breaker_wait_seconds += op.retry_after_seconds;
-            r.recovery_seconds += op.times.recovery_seconds;
-            elapsed += op.times.recovery_seconds;
-            NoteFault("circuit-open", "recover.breaker_fast_fails", elapsed);
-            continue;
-          }
-          if (op.status == drive::OpStatus::kPermanentMediaError) {
-            ++r.permanent_errors;
-            r.recovery_seconds += op.times.recovery_seconds;
-            elapsed += op.times.recovery_seconds;
-            NoteFault("permanent-media-error", "recover.permanent_errors",
-                      elapsed);
-            abandoned = true;
-            permanent_failure = true;
-            break;
-          }
-          // Transient: the failed pass streamed the span for nothing and
-          // the drive repositioned internally (head back at the span start).
-          ++r.transient_read_errors;
+      for (int attempt = 0;;) {
+        drive::OpResult op = drive_->ReadSegments(req.segment, req.last());
+        if (op.status == drive::OpStatus::kOk) {
+          r.read_seconds += op.times.read_seconds;
+          elapsed += op.times.read_seconds;
+          r.segments_read += req.count;
+          ++r.requests_serviced;
+          if (on_step) on_step(req, elapsed, true);
+          break;
+        }
+        if (op.status == drive::OpStatus::kCircuitOpen) {
+          // As in the locate phase: charge the wait, keep the retry
+          // budget intact, re-issue as the probe.
+          ++r.breaker_fast_fails;
+          r.breaker_wait_seconds += op.retry_after_seconds;
           r.recovery_seconds += op.times.recovery_seconds;
           elapsed += op.times.recovery_seconds;
-          NoteFault("transient-read-error", "recover.transient_read_errors",
-                    elapsed);
-          ++attempt;
-          if (attempt >= options_.retry.max_attempts) {
-            abandoned = true;
-            break;
-          }
-          double backoff = BackoffSeconds(options_.retry, attempt - 1);
-          NoteBackoff(elapsed, backoff);
-          r.recovery_seconds += backoff;
-          elapsed += backoff;
-          ++r.retries;
+          NoteFault("circuit-open", "recover.breaker_fast_fails", elapsed);
+          continue;
         }
+        if (op.status == drive::OpStatus::kPermanentMediaError) {
+          ++r.permanent_errors;
+          r.recovery_seconds += op.times.recovery_seconds;
+          elapsed += op.times.recovery_seconds;
+          NoteFault("permanent-media-error", "recover.permanent_errors",
+                    elapsed);
+          abandoned = true;
+          permanent_failure = true;
+          break;
+        }
+        // Transient: the failed pass streamed the span for nothing and
+        // the drive repositioned internally (head back at the span start).
+        ++r.transient_read_errors;
+        r.recovery_seconds += op.times.recovery_seconds;
+        elapsed += op.times.recovery_seconds;
+        NoteFault("transient-read-error", "recover.transient_read_errors",
+                  elapsed);
+        ++attempt;
+        if (attempt >= options_.retry.max_attempts) {
+          abandoned = true;
+          break;
+        }
+        double backoff = BackoffSeconds(options_.retry, attempt - 1);
+        NoteBackoff(elapsed, backoff);
+        r.recovery_seconds += backoff;
+        elapsed += backoff;
+        ++r.retries;
       }
     }
 

@@ -1,7 +1,6 @@
 #include "serpentine/sim/serving_core.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <numeric>
@@ -162,8 +161,6 @@ ServingCore::ServingCore(std::vector<const tape::LocateModel*> models,
       SERPENTINE_CHECK(rungs_.back() != nullptr);
     }
   }
-  cpu_budget_active_ = config_.degradation.enabled &&
-                       std::isfinite(config_.degradation.cpu_budget_seconds);
   ResetFold();
 }
 
@@ -427,8 +424,7 @@ void ServingCore::Dispatch() {
                          ? static_cast<int>(depth_at_dispatch) /
                                config_.degradation.queue_depth_step
                          : 0;
-    rung = std::min(depth_rung + cpu_penalty_,
-                    static_cast<int>(rungs_.size()) - 1);
+    rung = std::min(depth_rung, static_cast<int>(rungs_.size()) - 1);
     entry = rungs_[rung];
   }
 
@@ -441,7 +437,6 @@ void ServingCore::Dispatch() {
                     static_cast<double>(pending_.size()));
   double dispatch_clock = clock_;
 
-  double build_seconds = 0.0;
   for (const auto& [cart, group] : groups) {
     if (cart != mounted_) SwitchCartridge(cart);
     const tape::LocateModel& model = *models_[mounted_];
@@ -452,21 +447,12 @@ void ServingCore::Dispatch() {
       batch.push_back(sched::Request{m.segment, 1});
     }
 
-    StatusOr<sched::Schedule> schedule = sched::Schedule{};
-    if (config_.degradation.enabled) {
-      auto t0 = std::chrono::steady_clock::now();
-      schedule =
-          entry->build(model, drive_->Position(), batch, entry->options);
-      if (cpu_budget_active_) {
-        build_seconds += std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() - t0)
-                             .count();
-      }
-    } else {
-      schedule =
-          sched::BuildSchedule(model, drive_->Position(), batch,
-                               config_.algorithm, config_.scheduler_options);
-    }
+    StatusOr<sched::Schedule> schedule =
+        entry != nullptr
+            ? entry->build(model, drive_->Position(), batch, entry->options)
+            : sched::BuildSchedule(model, drive_->Position(), batch,
+                                   config_.algorithm,
+                                   config_.scheduler_options);
     if (!schedule.ok()) {
       // Validation rules out every build failure it can foresee; say
       // which batch broke before aborting, so it can be replayed.
@@ -486,14 +472,6 @@ void ServingCore::Dispatch() {
   ResetFold();
 
   if (config_.degradation.enabled) {
-    if (cpu_budget_active_) {
-      if (build_seconds > config_.degradation.cpu_budget_seconds) {
-        cpu_penalty_ =
-            std::min(cpu_penalty_ + 1, static_cast<int>(rungs_.size()) - 1);
-      } else {
-        cpu_penalty_ = std::max(cpu_penalty_ - 1, 0);
-      }
-    }
     obs::SetGauge("online.degradation_rung", static_cast<double>(rung));
     if (rung > 0) {
       ++result_.degraded_batches;

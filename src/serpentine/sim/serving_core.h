@@ -209,8 +209,6 @@ class ServingCore {
   int mounted_ = 0;
 
   std::vector<const sched::RegistryEntry*> rungs_;
-  int cpu_penalty_ = 0;
-  bool cpu_budget_active_ = false;
 
   double clock_ = 0.0;
   std::deque<ServingRequest> routed_;

@@ -15,6 +15,11 @@
 
 namespace serpentine::sim {
 
+/// Physical bins a wear account uses unless told otherwise: ten per
+/// physical section of a DLT4000 tape (14 sections). Shared by
+/// WearTracker and the layout optimizer's wear projection.
+inline constexpr int kDefaultWearBins = 140;
+
 /// Head passes per physical region (the tape is divided into equal-width
 /// physical bins; any motion across a bin counts one pass, whether
 /// scanning, reading or rewinding — what matters for wear is tape over
@@ -22,7 +27,8 @@ namespace serpentine::sim {
 class WearTracker {
  public:
   /// `bins` physical regions over the tape's physical length.
-  explicit WearTracker(const tape::TapeGeometry* geometry, int bins = 140);
+  explicit WearTracker(const tape::TapeGeometry* geometry,
+                       int bins = kDefaultWearBins);
 
   /// Records head motion between two physical positions.
   void RecordMotion(tape::PhysicalPos from, tape::PhysicalPos to);

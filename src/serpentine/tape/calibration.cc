@@ -9,6 +9,11 @@
 namespace serpentine::tape {
 namespace {
 
+/// Minimum abrupt drop (seconds) that identifies a dip. It sits between
+/// measurement noise and the smallest real drop (~5.5 s on forward
+/// tracks).
+constexpr double kDipThresholdSeconds = 3.0;
+
 double MedianOf(std::vector<double>& values) {
   std::nth_element(values.begin(), values.begin() + values.size() / 2,
                    values.end());
@@ -135,7 +140,7 @@ serpentine::StatusOr<CalibrationResult> CalibrateKeyPoints(
       while (hi - lo > 1) {
         SegmentId mid = lo + (hi - lo) / 2;
         double g_mid = detrended(mid);
-        if (g_mid - g_hi > options.dip_threshold_seconds) {
+        if (g_mid - g_hi > kDipThresholdSeconds) {
           lo = mid;  // mid is pre-drop
         } else {
           hi = mid;  // mid is post-drop (same branch as old hi)

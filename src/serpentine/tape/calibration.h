@@ -13,7 +13,7 @@
 //     within a section and drops abruptly at each dip (the drop is ~5 s on
 //     forward tracks, ~25 s on reverse tracks);
 //   * therefore each dip segment is found by binary search for the
-//     discontinuity locate(p, x-1) - locate(p, x) > threshold.
+//     discontinuity locate(p, x-1) - locate(p, x) > 3 s.
 //
 // The recovered key points are what parameterize a scheduling model for
 // that cartridge; the paper's Fig 9 shows what happens when they are wrong.
@@ -30,10 +30,6 @@ namespace serpentine::tape {
 
 /// Calibration tuning.
 struct CalibrationOptions {
-  /// Minimum abrupt drop (seconds) that identifies a dip. Must sit between
-  /// measurement noise and the smallest real drop (~5.5 s on forward
-  /// tracks).
-  double dip_threshold_seconds = 3.0;
   /// Number of times each comparison is measured; medians defeat
   /// measurement noise on a real (or simulated-noisy) drive.
   int probes_per_comparison = 3;

@@ -31,35 +31,22 @@ TEST(HeatMapTest, RequestSpansTouchEveryGroupTheyCross) {
   EXPECT_EQ(heat.total_heat(), 2);
 }
 
-TEST(HeatMapTest, BatchAffinityCountsConsecutiveCrossGroupPairs) {
+TEST(HeatMapTest, RecordBatchCountsRequestsAndNonEmptyBatches) {
   HeatMap heat(10000, 704);
   heat.RecordBatch({sched::Request{0, 1}, sched::Request{3 * 704, 1},
                     sched::Request{3 * 704 + 5, 1}, sched::Request{10, 1}});
-  // Pairs in arrival order: (0,3), (3,3) same group — skipped, (3,0).
-  std::vector<Affinity> top = heat.TopAffinities(10);
-  ASSERT_EQ(top.size(), 1u);
-  EXPECT_EQ(top[0].a, 0);
-  EXPECT_EQ(top[0].b, 3);
-  EXPECT_EQ(top[0].count, 2);
+  EXPECT_EQ(heat.group_heat(0), 2);
+  EXPECT_EQ(heat.group_heat(3), 2);
   EXPECT_EQ(heat.total_heat(), 4);
-}
-
-TEST(HeatMapTest, TopAffinitiesOrdersByCountThenPair) {
-  HeatMap heat(10000, 704);
-  // (0,1) twice, (1,2) once.
-  heat.RecordBatch({sched::Request{0, 1}, sched::Request{704, 1},
-                    sched::Request{0, 1}});
-  heat.RecordBatch({sched::Request{704, 1}, sched::Request{1408, 1}});
-  std::vector<Affinity> top = heat.TopAffinities(10);
-  ASSERT_EQ(top.size(), 2u);
-  EXPECT_EQ(top[0].a, 0);
-  EXPECT_EQ(top[0].b, 1);
-  EXPECT_EQ(top[0].count, 2);
-  EXPECT_EQ(top[1].a, 1);
-  EXPECT_EQ(top[1].b, 2);
-  std::vector<Affinity> capped = heat.TopAffinities(1);
-  ASSERT_EQ(capped.size(), 1u);
-  EXPECT_EQ(capped[0].count, 2);
+  EXPECT_EQ(heat.batches_recorded(), 1);
+  // The optimizer divides group heat by batches_recorded() to get
+  // per-batch visit rates, so an empty batch must not count.
+  heat.RecordBatch({});
+  EXPECT_EQ(heat.batches_recorded(), 1);
+  EXPECT_EQ(heat.total_heat(), 4);
+  heat.RecordBatch({sched::Request{704, 1}});
+  EXPECT_EQ(heat.batches_recorded(), 2);
+  EXPECT_EQ(heat.group_heat(1), 1);
 }
 
 TEST(HeatMapTest, ObserverCountsOnlyOkCompletions) {

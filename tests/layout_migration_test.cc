@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "serpentine/drive/model_drive.h"
@@ -148,6 +152,32 @@ TEST_F(MigrationTest, HigherArrivalRatesShrinkSlices) {
   EXPECT_GT(quiet_run->full_slices, 0);
   EXPECT_EQ(busy_run->full_slices, 0);
   EXPECT_GT(busy_run->half_slices + busy_run->quarter_slices, 0);
+}
+
+TEST_F(MigrationTest, InterleavedRejectsAnInvalidForegroundStream) {
+  MigrationPlan empty;
+  Placement identity =
+      Placement::Identity(model_.geometry().total_segments(), 8192);
+  auto run = [&](double rate, int64_t requests) {
+    InterleavedOptions options;
+    options.arrival_rate_per_hour = rate;
+    options.foreground_requests = requests;
+    return RunInterleavedMigration(model_, empty, identity,
+                                   sched::Registry::Default(), options);
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  for (auto [rate, requests] :
+       {std::pair{60.0, int64_t{-1}}, std::pair{60.0, int64_t{0}},
+        std::pair{inf, int64_t{20}}, std::pair{0.0, int64_t{20}},
+        std::pair{std::nan(""), int64_t{20}}}) {
+    StatusOr<InterleavedResult> result = run(rate, requests);
+    ASSERT_FALSE(result.ok()) << rate << " /h x " << requests;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(result.status().message().find("RunInterleavedMigration"),
+              std::string::npos)
+        << result.status().ToString();
+  }
+  EXPECT_TRUE(run(60.0, 1).ok());
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "serpentine/layout/heat_map.h"
@@ -98,7 +99,6 @@ TEST(OptimizerTest, DeterministicForAGivenHeatMap) {
   EXPECT_EQ(stats1.moved_groups, stats2.moved_groups);
   EXPECT_GT(stats1.moved_groups, 0);
   EXPECT_GT(stats1.hot_groups, 0);
-  EXPECT_GE(stats1.chains, 1);
 }
 
 TEST(OptimizerTest, HotSetLandsInFasterSlots) {
@@ -110,8 +110,10 @@ TEST(OptimizerTest, HotSetLandsInFasterSlots) {
   PlacementOptimizer optimizer(model);
   OptimizerStats stats;
   (void)optimizer.Optimize(heat, &stats);
-  // The heat-weighted mean locate time into the hot set must not get
-  // worse; the optimizer placed those groups by exactly this score.
+  // Goodness does not drive placement: tail anchoring does, and on
+  // placement_sweep's heat the hot set's goodness rises (82.7 s to
+  // 83.5 s). On this heat map the tail-packed hot set still scores no
+  // worse than at home.
   EXPECT_LE(stats.hot_goodness_after, stats.hot_goodness_before + 1e-9);
 }
 
@@ -130,8 +132,10 @@ TEST(OptimizerTest, TightWearCapCountsRelaxationsOrSpreads) {
   OptimizerStats stats;
   Placement p = optimizer.Optimize(heat, &stats);
   EXPECT_GT(stats.moved_groups, 0);
-  // Either the cap forced relaxations or the chains spread out — both
-  // leave a valid permutation behind.
+  // No slot honors a cap of 1% of the identity peak, so every hot group
+  // is a counted relaxation, and a valid permutation is still returned.
+  EXPECT_EQ(stats.hot_groups, 4);
+  EXPECT_EQ(stats.wear_relaxations, stats.hot_groups);
   EXPECT_EQ(p.num_groups(), heat.num_groups());
 }
 
@@ -170,6 +174,26 @@ TEST(OptimizerTest, SkewedWorkloadImprovesMakespanAndWear) {
       << "optimized layout must beat the seed on makespan";
   EXPECT_LT(after->life_consumed, before->life_consumed)
       << "optimized layout must beat the seed on media life";
+}
+
+TEST(EvaluatePlacementTest, RejectsNonPositiveSizes) {
+  tape::Dlt4000LocateModel model = TapeA();
+  const tape::SegmentId total = model.geometry().total_segments();
+  Placement seed = Placement::Identity(total, 256);
+  const sched::RegistryEntry* loss = sched::Registry::Default().Find("loss");
+  ASSERT_NE(loss, nullptr);
+  for (auto [batches, batch_size] :
+       {std::pair{1, -5}, std::pair{1, 0}, std::pair{0, 8},
+        std::pair{-3, 8}}) {
+    workload::UniformGenerator gen(total, 5);
+    EvaluateOptions options;
+    options.batches = batches;
+    options.batch_size = batch_size;
+    StatusOr<PlacementEvaluation> eval =
+        EvaluatePlacement(model, seed, gen, *loss, options);
+    ASSERT_FALSE(eval.ok()) << batches << " x " << batch_size;
+    EXPECT_EQ(eval.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 }  // namespace

@@ -494,18 +494,6 @@ TEST_F(AlgorithmsTestBase, EstimatorRewindOptionAddsRewind) {
   EXPECT_NEAR(rewound - base, model_.RewindSeconds(300001), 0.1);
 }
 
-TEST_F(AlgorithmsTestBase, EstimatorReadsToggle) {
-  Schedule s;
-  s.initial_position = 0;
-  s.order = {Request{100000, 1000}};
-  EstimateOptions no_reads;
-  no_reads.include_reads = false;
-  double with_reads = EstimateScheduleSeconds(model_, s);
-  double without = EstimateScheduleSeconds(model_, s, no_reads);
-  // 1000 segments ≈ 32 MB ≈ 21 s of transfer.
-  EXPECT_NEAR(with_reads - without, 21.0, 4.0);
-}
-
 TEST_F(AlgorithmsTestBase, OutPositionClampsAtTapeEnd) {
   Request last{total() - 1, 1};
   EXPECT_EQ(OutPosition(model_.geometry(), last), total() - 1);

@@ -265,19 +265,33 @@ TEST_F(FaultTest, ZeroFaultsReproduceExecuteScheduleWithRewind) {
 }
 
 TEST_F(FaultTest, ZeroFaultsReproduceFullTapeScan) {
-  auto schedule = BuildSchedule(model_, 1234, UniformBatch(8, 5),
-                                Algorithm::kRead);
+  std::vector<Request> batch = UniformBatch(8, 5);
+  batch.push_back(Request{100, 50});  // one multi-segment request
+  auto schedule = BuildSchedule(model_, 1234, batch, Algorithm::kRead);
   ASSERT_TRUE(schedule.ok());
   ASSERT_TRUE(schedule->full_tape_scan);
   ExecutionResult plain = ExecuteSchedule(model_, *schedule);
   RecoveringExecutor executor(model_, nullptr);
-  RecoveringExecutionResult r = executor.Execute(*schedule);
+  // The pass has read a request once it reads its last segment, so that
+  // is the completion stamp, as TertiaryStore::FlushTape reports it.
+  int steps = 0;
+  bool saw_multi_segment = false;
+  RecoveringExecutionResult r = executor.Execute(
+      *schedule, [&](const Request& req, double at_seconds, bool ok) {
+        ++steps;
+        EXPECT_TRUE(ok);
+        EXPECT_EQ(at_seconds, model_.ReadSeconds(0, req.last()))
+            << "request at " << req.segment << " x " << req.count;
+        if (req.count == 50) saw_multi_segment = true;
+      });
+  EXPECT_EQ(steps, 9);
+  EXPECT_TRUE(saw_multi_segment);
   EXPECT_EQ(r.total_seconds, plain.total_seconds);
   EXPECT_EQ(r.read_seconds, plain.read_seconds);
   EXPECT_EQ(r.rewind_seconds, plain.rewind_seconds);
   EXPECT_EQ(r.final_position, plain.final_position);
   EXPECT_EQ(r.segments_read, plain.segments_read);
-  EXPECT_EQ(r.requests_serviced, 8);
+  EXPECT_EQ(r.requests_serviced, 9);
 }
 
 TEST_F(FaultTest, EmptyScheduleIsZeroWork) {
