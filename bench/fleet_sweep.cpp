@@ -190,7 +190,7 @@ int main() {
   bench::TimingRecorder robot_recorder("fleet-robot");
   for (int drives : {1, 2, 4}) {
     store::TapeLibrary library(tape::Dlt4000TapeParams(), /*cartridges=*/8,
-                               tape::Dlt4000Timings(), {}, /*first_seed=*/1,
+                               tape::Dlt4000Timings(), /*first_seed=*/1,
                                drives);
     auto begin = std::chrono::steady_clock::now();
     // Round-robin mount-heavy load: every request remounts its drive's

@@ -13,9 +13,9 @@
 //
 // Stacks compose: Metered(Fault(Model)) meters what execution experienced
 // (faults included); Fault(Metered(Model)) meters only the useful work the
-// fault layer let through. Executors (sim::ExecuteSchedule,
-// sim::RecoveringExecutor, sim::ServingCore) consume a Drive& and never
-// see which stack they run on.
+// fault layer let through. The executors (sim::ExecuteSchedule and
+// sim::RecoveringExecutor, which sim::ServingCore runs every batch
+// through) consume a Drive& and never see which stack they run on.
 #ifndef SERPENTINE_DRIVE_DRIVE_H_
 #define SERPENTINE_DRIVE_DRIVE_H_
 

@@ -102,11 +102,12 @@ struct OnlineServerConfig {
   double dispatch_max_wait_seconds = std::numeric_limits<double>::infinity();
   /// Seed for arrivals and request positions.
   int32_t seed = 1;
-  /// Drive/media fault process for batch execution. All-zero (the default)
-  /// keeps the exact fault-free execution path; any nonzero rate routes
-  /// batches through the RecoveringExecutor. The fault stream is seeded
-  /// from (faults.seed, seed), so replications decorrelate while staying
-  /// deterministic for any thread count.
+  /// Drive/media fault process for batch execution. Every batch runs
+  /// through the RecoveringExecutor; all-zero (the default) injects no
+  /// fault, and a fault-free locate-then-read walk then advances the clock
+  /// request by request, exactly as the queue-simulator loop does. The
+  /// fault stream is seeded from (faults.seed, seed), so replications
+  /// decorrelate while staying deterministic for any thread count.
   drive::FaultProfile faults;
   /// Retry/backoff policy used by the recovering executor under faults.
   RetryPolicy fault_retry;

@@ -50,39 +50,4 @@ const tape::TapeGeometry& PhysicalDrive::geometry() const {
 
 void PhysicalDrive::ResetNoise(int32_t seed) const { rng_.Seed(seed); }
 
-PhysicalDriveAdapter::PhysicalDriveAdapter(tape::TapeGeometry true_geometry,
-                                           tape::DriveTimings timings,
-                                           PhysicalDriveParams params,
-                                           tape::SegmentId position)
-    : physical_(std::move(true_geometry), timings, params),
-      head_(physical_, position) {}
-
-drive::OpResult PhysicalDriveAdapter::Locate(tape::SegmentId dst) {
-  return head_.Locate(dst);
-}
-
-drive::OpResult PhysicalDriveAdapter::ReadSegments(tape::SegmentId from,
-                                                   tape::SegmentId to) {
-  return head_.ReadSegments(from, to);
-}
-
-drive::OpResult PhysicalDriveAdapter::ScanSegments(tape::SegmentId from,
-                                                   tape::SegmentId to) {
-  return head_.ScanSegments(from, to);
-}
-
-drive::OpResult PhysicalDriveAdapter::Rewind() { return head_.Rewind(); }
-
-tape::SegmentId PhysicalDriveAdapter::Position() const {
-  return head_.Position();
-}
-
-void PhysicalDriveAdapter::SetPosition(tape::SegmentId position) {
-  head_.SetPosition(position);
-}
-
-const tape::LocateModel& PhysicalDriveAdapter::model() const {
-  return physical_;
-}
-
 }  // namespace serpentine::sim

@@ -8,8 +8,6 @@
 #ifndef SERPENTINE_SIM_PHYSICAL_DRIVE_H_
 #define SERPENTINE_SIM_PHYSICAL_DRIVE_H_
 
-#include "serpentine/drive/drive.h"
-#include "serpentine/drive/model_drive.h"
 #include "serpentine/tape/locate_model.h"
 #include "serpentine/util/lrand48.h"
 
@@ -68,40 +66,6 @@ class PhysicalDrive : public tape::LocateModel {
   tape::Dlt4000LocateModel ideal_;
   PhysicalDriveParams params_;
   mutable serpentine::Lrand48 rng_;
-};
-
-/// drive::Drive adapter bundling a PhysicalDrive (the measurement noise
-/// stream) with a stateful head. Use this to run executors against "the
-/// real drive" without threading a separate position variable around:
-///
-///   PhysicalDriveAdapter drive(truth, timings);
-///   ExecutionResult measured = ExecuteSchedule(drive, schedule);
-///
-/// Decorators stack on top as usual (MeteredDrive, FaultDrive).
-class PhysicalDriveAdapter final : public drive::Drive {
- public:
-  PhysicalDriveAdapter(tape::TapeGeometry true_geometry,
-                       tape::DriveTimings timings,
-                       PhysicalDriveParams params = {},
-                       tape::SegmentId position = 0);
-
-  drive::OpResult Locate(tape::SegmentId dst) override;
-  drive::OpResult ReadSegments(tape::SegmentId from,
-                               tape::SegmentId to) override;
-  drive::OpResult ScanSegments(tape::SegmentId from,
-                               tape::SegmentId to) override;
-  drive::OpResult Rewind() override;
-  tape::SegmentId Position() const override;
-  void SetPosition(tape::SegmentId position) override;
-  const tape::LocateModel& model() const override;
-
-  /// The wrapped measurement source (for ResetNoise and ideal()).
-  PhysicalDrive& physical() { return physical_; }
-  const PhysicalDrive& physical() const { return physical_; }
-
- private:
-  PhysicalDrive physical_;
-  drive::ModelDrive head_;  // charges physical_'s measured times
 };
 
 }  // namespace serpentine::sim

@@ -10,6 +10,7 @@
 #include "serpentine/obs/metrics.h"
 #include "serpentine/obs/trace.h"
 #include "serpentine/util/check.h"
+#include "serpentine/util/thread_pool.h"
 
 namespace serpentine::sim {
 namespace {
@@ -57,10 +58,7 @@ serpentine::StatusOr<PipelineResult> RunPipelinedBatches(
   if (batches.empty()) return result;
   const tape::TapeGeometry& g = drive.geometry();
   const int n = static_cast<int>(batches.size());
-  ThreadPool* pool =
-      options.overlap
-          ? (options.pool != nullptr ? options.pool : &ThreadPool::Shared())
-          : nullptr;
+  ThreadPool* pool = options.overlap ? &ThreadPool::Shared() : nullptr;
 
   auto timed_build = [&build](int index, tape::SegmentId initial,
                               std::vector<sched::Request> requests,

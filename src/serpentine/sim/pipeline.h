@@ -49,7 +49,6 @@
 #include "serpentine/sched/request.h"
 #include "serpentine/sim/executor.h"
 #include "serpentine/util/statusor.h"
-#include "serpentine/util/thread_pool.h"
 
 namespace serpentine::sim {
 
@@ -66,9 +65,6 @@ struct PipelineOptions {
   /// thread while batch k executes; when false every build happens after
   /// the preceding batch finishes (the serial baseline).
   bool overlap = true;
-  /// Worker pool for prefetched builds; nullptr selects
-  /// ThreadPool::Shared(). Ignored when overlap is false.
-  ThreadPool* pool = nullptr;
   /// Execution accounting, forwarded to ExecuteSchedule. rewind_at_end
   /// also feeds the position prediction (a rewound batch ends at BOT).
   sched::EstimateOptions estimate;

@@ -38,6 +38,66 @@ sched::Algorithm RepairAlgorithm(sched::Algorithm original, size_t remaining) {
   return original;
 }
 
+/// Virtual-time bookkeeping of one Execute call. Every charge lands in
+/// `elapsed` (seconds since execution start, the clock of completion
+/// stamps) and `step` (seconds since the last callback) together, so the
+/// two sums cannot drift apart; recovery charges also land in the result.
+class Ledger {
+ public:
+  explicit Ledger(RecoveringExecutionResult* r) : r_(r) {}
+
+  double elapsed() const { return elapsed_; }
+
+  void Charge(double seconds) {
+    elapsed_ += seconds;
+    step_ += seconds;
+  }
+
+  void Recover(double seconds) {
+    r_->recovery_seconds += seconds;
+    Charge(seconds);
+  }
+
+  /// Recovery seconds of a fault, noted at the time they end.
+  void Fault(const char* name, const char* counter, double seconds) {
+    Recover(seconds);
+    NoteFault(name, counter, elapsed_);
+  }
+
+  /// An op refused by an open breaker (a HealthDrive in the stack). The
+  /// refusal charged the remaining cooldown, so re-issuing the op is the
+  /// half-open probe. Deliberately no retry-budget charge and no backoff:
+  /// waiting out a breaker must not burn the budget reserved for real
+  /// faults.
+  void Refused(const drive::OpResult& op) {
+    ++r_->breaker_fast_fails;
+    r_->breaker_wait_seconds += op.retry_after_seconds;
+    Fault("circuit-open", "recover.breaker_fast_fails",
+          op.times.recovery_seconds);
+  }
+
+  /// The idle wait after `failures` failed attempts (>= 1), before the
+  /// next one.
+  void Backoff(const RetryPolicy& policy, int failures) {
+    double backoff = BackoffSeconds(policy, failures - 1);
+    NoteBackoff(elapsed_, backoff);
+    Recover(backoff);
+    ++r_->retries;
+  }
+
+  /// Reports one request to `on_step`, which starts the next step.
+  void Report(const RecoveringExecutor::StepCallback& on_step,
+              const sched::Request& req, double at_seconds, bool ok) {
+    if (on_step) on_step(req, at_seconds, step_, ok);
+    step_ = 0.0;
+  }
+
+ private:
+  RecoveringExecutionResult* r_;
+  double elapsed_ = 0.0;
+  double step_ = 0.0;
+};
+
 }  // namespace
 
 RecoveringExecutor::RecoveringExecutor(drive::Drive& drive,
@@ -68,18 +128,14 @@ RecoveringExecutionResult RecoveringExecutor::ExecuteFullScan(
     const sched::Schedule& schedule, const StepCallback& on_step) const {
   const tape::TapeGeometry& g = drive_->geometry();
   RecoveringExecutionResult r;
+  Ledger ledger(&r);
 
-  // An open breaker (HealthDrive in the stack) may refuse an op; the
-  // refusal charges the remaining cooldown, so one re-issue is the
-  // half-open probe and is always admitted.
+  // An open breaker may refuse an op; one re-issue is the half-open probe
+  // and is always admitted.
   auto through_breaker = [&](auto issue) {
     drive::OpResult op = issue();
     if (op.status == drive::OpStatus::kCircuitOpen) {
-      ++r.breaker_fast_fails;
-      r.breaker_wait_seconds += op.retry_after_seconds;
-      r.recovery_seconds += op.times.recovery_seconds;
-      NoteFault("circuit-open", "recover.breaker_fast_fails",
-                r.recovery_seconds);
+      ledger.Refused(op);
       op = issue();
     }
     return op;
@@ -89,6 +145,7 @@ RecoveringExecutionResult RecoveringExecutor::ExecuteFullScan(
   r.read_seconds =
       through_breaker([&] { return drive_->ScanSegments(0, last); })
           .times.read_seconds;
+  ledger.Charge(r.read_seconds);
   r.segments_read = g.total_segments();
 
   // Faults strike the delivery of individual requested spans; the scan
@@ -101,7 +158,7 @@ RecoveringExecutionResult RecoveringExecutor::ExecuteFullScan(
     drive::OpResult op = through_breaker(
         [&] { return drive_->DeliverSpan(req.segment, req.last()); });
     recovery_before += r.recovery_seconds - recovery_at_entry;
-    r.recovery_seconds += op.times.recovery_seconds;
+    ledger.Recover(op.times.recovery_seconds);
     recovery_before += op.times.recovery_seconds;
     r.transient_read_errors += op.transient_read_errors;
     r.retries += op.transient_read_errors;
@@ -114,10 +171,8 @@ RecoveringExecutionResult RecoveringExecutor::ExecuteFullScan(
       ++r.requests_serviced;
     }
     // The pass has delivered the whole request once it reads req.last().
-    if (on_step) {
-      on_step(req, drive_->model().ReadSeconds(0, req.last()) + recovery_before,
-              ok);
-    }
+    double at = drive_->model().ReadSeconds(0, req.last()) + recovery_before;
+    ledger.Report(on_step, req, at, ok);
   }
 
   r.rewind_seconds = drive_->Rewind().times.rewind_seconds;
@@ -144,13 +199,11 @@ RecoveringExecutionResult RecoveringExecutor::Execute(
   std::vector<sched::Request> queue = schedule.order;
   size_t idx = 0;
   drive_->SetPosition(schedule.initial_position);
-  int reschedules_left = options_.reschedule_after_fault
-                             ? options_.max_reschedules
-                             : 0;
-  // Virtual time in operation order, for completion stamps. The category
-  // sums (locate/read/recovery) are kept separately so the zero-fault
-  // totals match ExecuteSchedule's summation order exactly.
-  double elapsed = 0.0;
+  int reschedules_left = options_.max_reschedules;
+  // The category sums (locate/read/recovery) are kept apart from the
+  // ledger's op-order clock, so the zero-fault totals match
+  // ExecuteSchedule's summation order exactly.
+  Ledger ledger(&r);
 
   while (idx < queue.size()) {
     const sched::Request req = queue[idx];
@@ -165,21 +218,13 @@ RecoveringExecutionResult RecoveringExecutor::Execute(
       drive::OpResult op = drive_->Locate(req.segment);
       if (op.status == drive::OpStatus::kOk) {
         r.locate_seconds += op.times.locate_seconds;
-        elapsed += op.times.locate_seconds;
+        ledger.Charge(op.times.locate_seconds);
         ++r.locates;
         located = true;
         break;
       }
       if (op.status == drive::OpStatus::kCircuitOpen) {
-        // A health decorator refused the op and charged the remaining
-        // cooldown as the wait; the next attempt is the half-open probe.
-        // Deliberately no ++attempt and no backoff: waiting out a breaker
-        // must not burn the retry budget reserved for real faults.
-        ++r.breaker_fast_fails;
-        r.breaker_wait_seconds += op.retry_after_seconds;
-        r.recovery_seconds += op.times.recovery_seconds;
-        elapsed += op.times.recovery_seconds;
-        NoteFault("circuit-open", "recover.breaker_fast_fails", elapsed);
+        ledger.Refused(op);
         if (reschedules_left > 0 && queue.size() - idx > 1) {
           // Use the forced idle time to re-plan around the sick drive: the
           // head has not moved, but the faults that tripped the breaker
@@ -193,9 +238,8 @@ RecoveringExecutionResult RecoveringExecutor::Execute(
         // The transport force-rewound to BOT (the drive charged the reset
         // plus the rewind as recovery).
         ++r.drive_resets;
-        r.recovery_seconds += op.times.recovery_seconds;
-        elapsed += op.times.recovery_seconds;
-        NoteFault("drive-reset", "recover.drive_resets", elapsed);
+        ledger.Fault("drive-reset", "recover.drive_resets",
+                     op.times.recovery_seconds);
         if (reschedules_left > 0 && queue.size() - idx > 1) {
           // The plan is stale: repair from BOT, current request included.
           // With nothing else left to re-plan, fall through to the retry
@@ -206,20 +250,15 @@ RecoveringExecutionResult RecoveringExecutor::Execute(
         }
       } else {  // kLocateOvershoot
         ++r.locate_overshoots;
-        r.recovery_seconds += op.times.recovery_seconds;
-        elapsed += op.times.recovery_seconds;
-        NoteFault("locate-overshoot", "recover.locate_overshoots", elapsed);
+        ledger.Fault("locate-overshoot", "recover.locate_overshoots",
+                     op.times.recovery_seconds);
       }
       ++attempt;
       if (attempt >= options_.retry.max_attempts) {
         abandoned = true;
         break;
       }
-      double backoff = BackoffSeconds(options_.retry, attempt - 1);
-      NoteBackoff(elapsed, backoff);
-      r.recovery_seconds += backoff;
-      elapsed += backoff;
-      ++r.retries;
+      ledger.Backoff(options_.retry, attempt);
     }
 
     // -------- read phase (with retries) --------
@@ -229,28 +268,20 @@ RecoveringExecutionResult RecoveringExecutor::Execute(
         drive::OpResult op = drive_->ReadSegments(req.segment, req.last());
         if (op.status == drive::OpStatus::kOk) {
           r.read_seconds += op.times.read_seconds;
-          elapsed += op.times.read_seconds;
+          ledger.Charge(op.times.read_seconds);
           r.segments_read += req.count;
           ++r.requests_serviced;
-          if (on_step) on_step(req, elapsed, true);
+          ledger.Report(on_step, req, ledger.elapsed(), true);
           break;
         }
         if (op.status == drive::OpStatus::kCircuitOpen) {
-          // As in the locate phase: charge the wait, keep the retry
-          // budget intact, re-issue as the probe.
-          ++r.breaker_fast_fails;
-          r.breaker_wait_seconds += op.retry_after_seconds;
-          r.recovery_seconds += op.times.recovery_seconds;
-          elapsed += op.times.recovery_seconds;
-          NoteFault("circuit-open", "recover.breaker_fast_fails", elapsed);
+          ledger.Refused(op);
           continue;
         }
         if (op.status == drive::OpStatus::kPermanentMediaError) {
           ++r.permanent_errors;
-          r.recovery_seconds += op.times.recovery_seconds;
-          elapsed += op.times.recovery_seconds;
-          NoteFault("permanent-media-error", "recover.permanent_errors",
-                    elapsed);
+          ledger.Fault("permanent-media-error", "recover.permanent_errors",
+                       op.times.recovery_seconds);
           abandoned = true;
           permanent_failure = true;
           break;
@@ -258,27 +289,22 @@ RecoveringExecutionResult RecoveringExecutor::Execute(
         // Transient: the failed pass streamed the span for nothing and
         // the drive repositioned internally (head back at the span start).
         ++r.transient_read_errors;
-        r.recovery_seconds += op.times.recovery_seconds;
-        elapsed += op.times.recovery_seconds;
-        NoteFault("transient-read-error", "recover.transient_read_errors",
-                  elapsed);
+        ledger.Fault("transient-read-error",
+                     "recover.transient_read_errors",
+                     op.times.recovery_seconds);
         ++attempt;
         if (attempt >= options_.retry.max_attempts) {
           abandoned = true;
           break;
         }
-        double backoff = BackoffSeconds(options_.retry, attempt - 1);
-        NoteBackoff(elapsed, backoff);
-        r.recovery_seconds += backoff;
-        elapsed += backoff;
-        ++r.retries;
+        ledger.Backoff(options_.retry, attempt);
       }
     }
 
     if (abandoned) {
       r.abandoned_segments.push_back(req.segment);
       obs::IncrementCounter("recover.abandoned");
-      if (on_step) on_step(req, elapsed, false);
+      ledger.Report(on_step, req, ledger.elapsed(), false);
       ++idx;
       // A permanent media error invalidates the plan's assumptions about
       // the neighborhood; re-plan the remainder from where the head is.
@@ -315,7 +341,7 @@ RecoveringExecutionResult RecoveringExecutor::Execute(
           ++r.reschedules;
           obs::IncrementCounter("recover.reschedules");
           obs::TraceInstant(obs::TraceClock::kVirtual, "recover",
-                            "reschedule", elapsed);
+                            "reschedule", ledger.elapsed());
         }
         // On any failure the stale order keeps being serviced; recovery
         // never aborts the batch.
@@ -325,7 +351,6 @@ RecoveringExecutionResult RecoveringExecutor::Execute(
 
   if (options_.estimate.rewind_at_end) {
     r.rewind_seconds = drive_->Rewind().times.rewind_seconds;
-    elapsed += r.rewind_seconds;
   }
   r.final_position = drive_->Position();
   r.total_seconds = r.locate_seconds + r.read_seconds + r.rewind_seconds +

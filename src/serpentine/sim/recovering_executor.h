@@ -47,11 +47,11 @@ struct RecoveryOptions {
   /// Per-operation bounded retry-with-backoff. Backoff is charged to the
   /// virtual clock as recovery time (the drive sits idle between attempts).
   RetryPolicy retry;
-  /// Mid-batch rescheduling budget per Execute() call; 0 disables
-  /// rescheduling (recovery then continues the stale order).
+  /// Mid-batch rescheduling budget per Execute() call: the remainder is
+  /// re-planned after a drive reset, a permanent error or a breaker
+  /// refusal. 0 disables rescheduling (recovery then continues the stale
+  /// order).
   int max_reschedules = 8;
-  /// Re-plan the remainder after a drive reset or permanent error.
-  bool reschedule_after_fault = true;
   /// Options forwarded to sched::BuildSchedule when rescheduling.
   sched::SchedulerOptions scheduler_options;
   /// Execution accounting options (same meaning as for ExecuteSchedule).
@@ -111,10 +111,14 @@ class RecoveringExecutor {
                      RecoveryOptions options = {})
       : RecoveringExecutor(drive, drive, injector, std::move(options)) {}
 
-  /// Per-request completion callback: `at_seconds` is the virtual time
-  /// offset from execution start; `ok` is false for abandoned requests.
-  using StepCallback =
-      std::function<void(const sched::Request&, double at_seconds, bool ok)>;
+  /// Per-request completion callback. `at_seconds` is the virtual time
+  /// offset from execution start. `step_seconds` is the virtual time
+  /// charged since the previous callback (since execution start, for the
+  /// first), summed in op order from zero: exactly locate + read for a
+  /// request no fault touched. `ok` is false for abandoned requests.
+  using StepCallback = std::function<void(const sched::Request&,
+                                          double at_seconds,
+                                          double step_seconds, bool ok)>;
 
   /// Runs `schedule` to completion (every request serviced or abandoned).
   RecoveringExecutionResult Execute(const sched::Schedule& schedule) const;

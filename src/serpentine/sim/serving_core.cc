@@ -514,25 +514,6 @@ void ServingCore::SwitchCartridge(int cartridge) {
 void ServingCore::ExecuteGroup(const std::vector<ServingRequest>& members,
                                const sched::Schedule& schedule) {
   const tape::LocateModel& model = *models_[mounted_];
-  const tape::TapeGeometry& g = model.geometry();
-  drive::Drive& drive = *drive_;
-
-  // Reissues an op refused by an open breaker: the refusal charged the
-  // remaining cooldown, so the retry is the admitted half-open probe. Used
-  // by the fault-free execution paths (the recovering executor handles
-  // kCircuitOpen itself); with the breaker disarmed this is a straight
-  // pass-through.
-  auto through_breaker = [&](auto issue) {
-    drive::OpResult op = issue();
-    if (op.status == drive::OpStatus::kCircuitOpen) {
-      result_.breaker_wait_seconds += op.retry_after_seconds;
-      result_.recovery_seconds += op.times.recovery_seconds;
-      clock_ += op.times.recovery_seconds;
-      result_.drive_busy_seconds += op.times.recovery_seconds;
-      op = issue();
-    }
-    return op;
-  };
 
   // Completion matching by segment, with deadline-miss accounting. Duplicates resolve to the oldest
   // unmatched member: (segment, member) pairs sorted once, each answered
@@ -576,56 +557,46 @@ void ServingCore::ExecuteGroup(const std::vector<ServingRequest>& members,
     if (on_complete_) on_complete_(members[i], at, ok);
   };
 
-  if (injector_ != nullptr) {
-    RecoveryOptions recovery;
-    recovery.retry = config_.fault_retry;
-    recovery.scheduler_options = config_.scheduler_options;
-    RecoveringExecutor executor(drive, model, recovery);
-    double base = clock_;
-    if (schedule.full_tape_scan) {
-      double lead = model.LocateSeconds(drive.Position(), 0);
-      base += lead;
-      clock_ += lead;
-      result_.drive_busy_seconds += lead;
-    }
-    RecoveringExecutionResult res = executor.Execute(
-        schedule, [&](const sched::Request& req, double at, bool ok) {
+  // A fault-free walk advances the clock request by request, by each
+  // request's own step (locate + read). Faulty groups and full scans stamp
+  // completions from the group's start and charge the executor's total at
+  // the end. Both are the queue simulator's arithmetic.
+  const bool stepwise = injector_ == nullptr && !schedule.full_tape_scan;
+  double base = clock_;
+  if (schedule.full_tape_scan) {
+    // The executor's pass starts at BOT; charge the leading locate. A pure
+    // model query: the repositioning before a scan never draws from the
+    // fault process.
+    double lead = model.LocateSeconds(drive_->Position(), 0);
+    base += lead;
+    clock_ += lead;
+    result_.drive_busy_seconds += lead;
+  }
+  RecoveryOptions recovery;
+  recovery.retry = config_.fault_retry;
+  recovery.scheduler_options = config_.scheduler_options;
+  RecoveringExecutor executor(*drive_, model, recovery);
+  RecoveringExecutionResult res = executor.Execute(
+      schedule,
+      [&](const sched::Request& req, double at, double step, bool ok) {
+        if (stepwise) {
+          clock_ += step;
+          result_.drive_busy_seconds += step;
+          complete(req.segment, clock_, ok);
+        } else {
           complete(req.segment, base + at, ok);
-        });
+        }
+      });
+  if (!stepwise) {
     clock_ += res.total_seconds;
     result_.drive_busy_seconds += res.total_seconds;
-    result_.fault_retries += res.retries;
-    result_.drive_resets += res.drive_resets;
-    result_.reschedules += res.reschedules;
-    result_.permanent_errors += res.permanent_errors;
-    result_.recovery_seconds += res.recovery_seconds;
-    result_.breaker_wait_seconds += res.breaker_wait_seconds;
-  } else if (schedule.full_tape_scan) {
-    double pass_start = clock_ + model.LocateSeconds(drive.Position(), 0);
-    double busy =
-        through_breaker([&] { return drive.Locate(0); }).times.locate_seconds;
-    busy += through_breaker([&] {
-              return drive.ScanSegments(0, g.total_segments() - 1);
-            }).times.read_seconds;
-    busy += drive.Rewind().times.rewind_seconds;
-    for (const ServingRequest& m : members) {
-      complete(m.segment, pass_start + model.ReadSeconds(0, m.segment),
-               /*ok=*/true);
-    }
-    clock_ += busy;
-    result_.drive_busy_seconds += busy;
-  } else {
-    for (const sched::Request& r : schedule.order) {
-      double step = through_breaker([&] { return drive.Locate(r.segment); })
-                        .times.locate_seconds;
-      step += through_breaker([&] {
-                return drive.ReadSegments(r.segment, r.last());
-              }).times.read_seconds;
-      clock_ += step;
-      result_.drive_busy_seconds += step;
-      complete(r.segment, clock_, /*ok=*/true);
-    }
   }
+  result_.fault_retries += res.retries;
+  result_.drive_resets += res.drive_resets;
+  result_.reschedules += res.reschedules;
+  result_.permanent_errors += res.permanent_errors;
+  result_.recovery_seconds += res.recovery_seconds;
+  result_.breaker_wait_seconds += res.breaker_wait_seconds;
 }
 
 void ServingCore::FinishResult() {

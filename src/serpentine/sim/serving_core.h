@@ -91,8 +91,9 @@ void AccumulateOnlineServerTallies(const OnlineServerResult& from,
                                    OnlineServerResult* into);
 
 /// One library's serving engine: admission control, aging, degradation
-/// ladder, breaker-aware execution — the loop body of PR 6's
-/// RunOnlineServer, generalized to many cartridges behind one drive.
+/// ladder, with every batch executed through sim::RecoveringExecutor —
+/// RunOnlineServer's loop body, generalized to many cartridges behind one
+/// drive.
 ///
 /// Cartridge 0 starts mounted. When a dispatched batch spans cartridges,
 /// the mounted cartridge's sub-batch executes first, then the rest in
@@ -179,6 +180,8 @@ class ServingCore {
   /// Swaps `cartridge` under the drive stack: rewind the mounted tape,
   /// charge the exchange, repoint the breaker decorator.
   void SwitchCartridge(int cartridge);
+  /// Runs one cartridge group through a RecoveringExecutor over the drive
+  /// stack and answers each member as the executor reports it.
   void ExecuteGroup(const std::vector<ServingRequest>& members,
                     const sched::Schedule& schedule);
   /// A FIFO estimate summed in queue order, as EstimateScheduleSeconds

@@ -9,12 +9,18 @@
 #include "serpentine/util/check.h"
 
 namespace serpentine::store {
+namespace {
+
+// Exchange timings of a small DLT autoloader, in seconds.
+constexpr double kRobotExchangeSeconds = 15.0;  // arm travel + grip, per move
+constexpr double kLoadSeconds = 40.0;    // thread the tape, calibrate
+constexpr double kUnloadSeconds = 20.0;  // after the mandatory rewind
+
+}  // namespace
 
 TapeLibrary::TapeLibrary(const tape::TapeParams& params, int cartridges,
-                         tape::DriveTimings timings,
-                         LibraryTimings library_timings, int32_t first_seed,
-                         int drives)
-    : library_timings_(library_timings) {
+                         tape::DriveTimings timings, int32_t first_seed,
+                         int drives) {
   SERPENTINE_CHECK_GT(cartridges, 0);
   SERPENTINE_CHECK_GT(drives, 0);
   models_.reserve(cartridges);
@@ -26,9 +32,8 @@ TapeLibrary::TapeLibrary(const tape::TapeParams& params, int cartridges,
 }
 
 TapeLibrary::TapeLibrary(
-    std::vector<std::unique_ptr<tape::LocateModel>> models,
-    LibraryTimings library_timings, int drives)
-    : models_(std::move(models)), library_timings_(library_timings) {
+    std::vector<std::unique_ptr<tape::LocateModel>> models, int drives)
+    : models_(std::move(models)) {
   SERPENTINE_CHECK_GT(num_cartridges(), 0);
   SERPENTINE_CHECK_GT(drives, 0);
   for (const auto& m : models_) SERPENTINE_CHECK(m != nullptr);
@@ -176,8 +181,7 @@ serpentine::Status TapeLibrary::Mount(int d, int tape) {
       }
       continue;
     }
-    Spend(b, library_timings_.robot_exchange_seconds +
-                 library_timings_.load_seconds);
+    Spend(b, kRobotExchangeSeconds + kLoadSeconds);
     b.mounted = tape;
     b.head = std::make_unique<drive::ModelDrive>(*models_[tape]);
     ++total_mounts_;
@@ -207,8 +211,7 @@ serpentine::Status TapeLibrary::Unmount(int d) {
   // robot.
   Spend(b, b.head->Rewind().times.rewind_seconds);
   WaitForRobot(b);
-  Spend(b, library_timings_.unload_seconds +
-               library_timings_.robot_exchange_seconds);
+  Spend(b, kUnloadSeconds + kRobotExchangeSeconds);
   ReleaseRobot(b);
   b.mounted = -1;
   b.head.reset();

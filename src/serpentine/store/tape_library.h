@@ -24,18 +24,9 @@
 
 namespace serpentine::store {
 
-/// Robot and drive exchange timings (seconds). Defaults approximate a
-/// small DLT autoloader.
-struct LibraryTimings {
-  /// Robot arm travel + grip, per cartridge movement.
-  double robot_exchange_seconds = 15.0;
-  /// Drive load: thread tape, calibrate.
-  double load_seconds = 40.0;
-  /// Drive unload after the mandatory rewind.
-  double unload_seconds = 20.0;
-};
-
 /// N drives + M cartridges + one robot, with per-drive virtual clocks.
+/// Exchanges take a small DLT autoloader's times: 15 s of robot motion
+/// per cartridge move, 40 s to load and 20 s to unload.
 ///
 /// All motion (mounting, locating, reading, rewinding) advances the acting
 /// drive's clock according to each cartridge's locate-time model. The
@@ -47,13 +38,13 @@ class TapeLibrary {
   /// Builds a library of `cartridges` tapes in one geometry family, each
   /// generated from consecutive seeds, sharing one drive timing profile.
   TapeLibrary(const tape::TapeParams& params, int cartridges,
-              tape::DriveTimings timings, LibraryTimings library_timings = {},
-              int32_t first_seed = 1, int drives = 1);
+              tape::DriveTimings timings, int32_t first_seed = 1,
+              int drives = 1);
 
   /// Builds a library over caller-supplied models — one per cartridge, any
   /// mix of geometry families (DLT serpentine next to helical, say).
   TapeLibrary(std::vector<std::unique_ptr<tape::LocateModel>> models,
-              LibraryTimings library_timings = {}, int drives = 1);
+              int drives = 1);
 
   int num_cartridges() const { return static_cast<int>(models_.size()); }
   int num_drives() const { return static_cast<int>(bays_.size()); }
@@ -201,7 +192,6 @@ class TapeLibrary {
   double BreakerNow(const DriveBay& b);
 
   std::vector<std::unique_ptr<tape::LocateModel>> models_;
-  LibraryTimings library_timings_;
   std::vector<DriveBay> bays_;
   /// Virtual time at which the shared robot finishes its current exchange.
   double robot_free_at_ = 0.0;

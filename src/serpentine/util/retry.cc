@@ -4,8 +4,6 @@
 #include <cmath>
 #include <string>
 
-#include "serpentine/util/lrand48.h"
-
 namespace serpentine {
 
 Status ValidateRetryPolicy(const RetryPolicy& policy) {
@@ -38,11 +36,6 @@ Status ValidateRetryPolicy(const RetryPolicy& policy) {
         ") must be >= initial_backoff_seconds (" +
         std::to_string(policy.initial_backoff_seconds) + ")");
   }
-  if (!(policy.jitter_fraction >= 0.0) || policy.jitter_fraction >= 1.0) {
-    return InvalidArgumentError(
-        "RetryPolicy: jitter_fraction must be in [0, 1), got " +
-        std::to_string(policy.jitter_fraction));
-  }
   return OkStatus();
 }
 
@@ -66,25 +59,6 @@ double BackoffSeconds(const RetryPolicy& policy, int retry_index) {
   if (!std::isfinite(backoff)) return ceiling;
   backoff = std::min(backoff, ceiling);
   return std::max(backoff, 0.0);
-}
-
-double BackoffSeconds(const RetryPolicy& policy, int retry_index,
-                      Lrand48* rng) {
-  double backoff = BackoffSeconds(policy, retry_index);
-  if (policy.jitter_fraction <= 0.0 || rng == nullptr) return backoff;
-  double factor = 1.0 - policy.jitter_fraction +
-                  2.0 * policy.jitter_fraction * rng->NextDouble();
-  backoff *= factor;
-  backoff = std::min(backoff, std::max(policy.max_backoff_seconds, 0.0));
-  return std::max(backoff, 0.0);
-}
-
-double TotalBackoffSeconds(const RetryPolicy& policy) {
-  double total = 0.0;
-  for (int r = 0; r + 1 < policy.max_attempts; ++r) {
-    total += BackoffSeconds(policy, r);
-  }
-  return total;
 }
 
 }  // namespace serpentine

@@ -9,8 +9,6 @@
 
 namespace serpentine {
 
-class Lrand48;
-
 /// Bounded exponential backoff: attempt 0 is the initial try; each retry r
 /// (r = 0 for the first retry) waits
 ///   min(initial_backoff_seconds * backoff_multiplier^r, max_backoff_seconds)
@@ -23,17 +21,10 @@ struct RetryPolicy {
   double backoff_multiplier = 2.0;
   /// Ceiling on a single backoff interval.
   double max_backoff_seconds = 30.0;
-  /// Optional jitter fraction in [0, 1): when nonzero and the caller
-  /// supplies a seeded rng, each interval is scaled by a uniform factor in
-  /// [1 - jitter_fraction, 1 + jitter_fraction] (clamped to the ceiling).
-  /// Jitter draws come from the caller's rng, so replications stay
-  /// deterministic and decorrelated like every other seeded stream.
-  double jitter_fraction = 0.0;
 };
 
 /// Rejects NaN/negative/inconsistent policies with a descriptive status:
-/// max_attempts >= 1, finite non-negative backoffs, multiplier >= 1,
-/// jitter_fraction in [0, 1).
+/// max_attempts >= 1, finite non-negative backoffs, multiplier >= 1.
 Status ValidateRetryPolicy(const RetryPolicy& policy);
 
 /// Seconds to wait before retry number `retry_index` (0-based: the wait
@@ -43,18 +34,6 @@ Status ValidateRetryPolicy(const RetryPolicy& policy);
 /// initial * multiplier^r exceeds (or overflows past) the ceiling, the
 /// ceiling is returned — never inf or NaN, for any retry_index.
 double BackoffSeconds(const RetryPolicy& policy, int retry_index);
-
-/// As above, with deterministic seeded jitter: when
-/// policy.jitter_fraction > 0 and `rng` is non-null, one NextDouble draw
-/// scales the interval by [1 - jitter, 1 + jitter] (still capped at
-/// max_backoff_seconds). With zero jitter or a null rng no draw is
-/// consumed and the result equals the unjittered schedule.
-double BackoffSeconds(const RetryPolicy& policy, int retry_index,
-                      Lrand48* rng);
-
-/// Total backoff charged by a full, exhausted retry schedule
-/// (max_attempts - 1 retries), jitter-free.
-double TotalBackoffSeconds(const RetryPolicy& policy);
 
 /// Coarse classification of a failure for the retry decision: retrying a
 /// permanent error wastes the whole backoff schedule, so recovery paths ask

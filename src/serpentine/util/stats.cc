@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-
-#include "serpentine/util/check.h"
 
 namespace serpentine {
 
@@ -41,50 +38,5 @@ double Accumulator::variance() const {
 }
 
 double Accumulator::stddev() const { return std::sqrt(variance()); }
-
-Histogram::Histogram(double lo, double hi, int buckets)
-    : lo_(lo), width_((hi - lo) / buckets), counts_(buckets, 0) {
-  SERPENTINE_CHECK_GT(buckets, 0);
-  SERPENTINE_CHECK_GT(hi, lo);
-}
-
-void Histogram::Add(double x) {
-  int i = static_cast<int>((x - lo_) / width_);
-  i = std::clamp(i, 0, static_cast<int>(counts_.size()) - 1);
-  ++counts_[i];
-  ++total_;
-}
-
-double Histogram::Quantile(double q) const {
-  SERPENTINE_CHECK_GE(q, 0.0);
-  SERPENTINE_CHECK_LE(q, 1.0);
-  if (total_ == 0) return lo_;
-  double target = q * static_cast<double>(total_);
-  double cum = 0.0;
-  for (size_t i = 0; i < counts_.size(); ++i) {
-    double next = cum + static_cast<double>(counts_[i]);
-    if (next >= target) {
-      double frac =
-          counts_[i] > 0 ? (target - cum) / static_cast<double>(counts_[i])
-                         : 0.0;
-      return bucket_lo(static_cast<int>(i)) + frac * width_;
-    }
-    cum = next;
-  }
-  return lo_ + width_ * static_cast<double>(counts_.size());
-}
-
-std::string Histogram::ToString() const {
-  std::string out;
-  char line[128];
-  for (size_t i = 0; i < counts_.size(); ++i) {
-    if (counts_[i] == 0) continue;
-    std::snprintf(line, sizeof(line), "%10.2f..%10.2f %8lld\n", bucket_lo(i),
-                  bucket_lo(i) + width_,
-                  static_cast<long long>(counts_[i]));
-    out += line;
-  }
-  return out;
-}
 
 }  // namespace serpentine

@@ -5,8 +5,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <string>
-#include <vector>
 
 namespace serpentine {
 
@@ -36,36 +34,6 @@ class Accumulator {
   double m2_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/// Fixed-width histogram over [lo, hi); out-of-range values clamp into the
-/// first/last bucket. Used to inspect locate-time distributions.
-class Histogram {
- public:
-  /// Creates `buckets` equal-width buckets spanning [lo, hi).
-  Histogram(double lo, double hi, int buckets);
-
-  /// Adds one observation.
-  void Add(double x);
-
-  int buckets() const { return static_cast<int>(counts_.size()); }
-  int64_t bucket_count(int i) const { return counts_[i]; }
-  /// Inclusive lower edge of bucket i.
-  double bucket_lo(int i) const { return lo_ + width_ * i; }
-  int64_t total() const { return total_; }
-
-  /// Value below which `q` (in [0,1]) of the mass lies, interpolated within
-  /// the containing bucket.
-  double Quantile(double q) const;
-
-  /// Multi-line "lo..hi count" rendering, for debugging.
-  std::string ToString() const;
-
- private:
-  double lo_;
-  double width_;
-  std::vector<int64_t> counts_;
-  int64_t total_ = 0;
 };
 
 }  // namespace serpentine

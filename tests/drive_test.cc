@@ -500,7 +500,8 @@ TEST_F(DriveTest, ExplicitFaultStackReplaysModelShimByteForByte) {
 }
 
 // ---------------------------------------------------------------------------
-// PhysicalDriveAdapter: the measured path through the Drive interface.
+// A ModelDrive over a PhysicalDrive: the measured path through the Drive
+// interface.
 // ---------------------------------------------------------------------------
 
 TEST_F(DriveTest, PhysicalDriveAdapterMatchesRawPhysicalDrive) {
@@ -508,12 +509,13 @@ TEST_F(DriveTest, PhysicalDriveAdapterMatchesRawPhysicalDrive) {
   auto schedule = BuildSchedule(model_, 0, requests, Algorithm::kLoss);
   ASSERT_TRUE(schedule.ok());
 
-  TapeGeometry truth = TapeGeometry::Generate(Dlt4000TapeParams(), 1);
-  sim::PhysicalDrive raw(truth, Dlt4000Timings());
+  TapeGeometry geometry = TapeGeometry::Generate(Dlt4000TapeParams(), 1);
+  sim::PhysicalDrive raw(geometry, Dlt4000Timings());
   sim::ExecutionResult expected = sim::ExecuteSchedule(raw, *schedule);
 
-  sim::PhysicalDriveAdapter adapter(truth, Dlt4000Timings());
-  sim::ExecutionResult actual = sim::ExecuteSchedule(adapter, *schedule);
+  sim::PhysicalDrive truth(geometry, Dlt4000Timings());
+  ModelDrive drive(truth);
+  sim::ExecutionResult actual = sim::ExecuteSchedule(drive, *schedule);
 
   // Identical noise seed, identical op order: the measured execution is
   // bit-identical through either entry point.
@@ -522,10 +524,10 @@ TEST_F(DriveTest, PhysicalDriveAdapterMatchesRawPhysicalDrive) {
   EXPECT_EQ(actual.read_seconds, expected.read_seconds);
   EXPECT_EQ(actual.final_position, expected.final_position);
 
-  // The adapter exposes its measurement source for reseeding.
-  adapter.physical().ResetNoise(1234);
-  adapter.SetPosition(0);
-  sim::ExecutionResult reseeded = sim::ExecuteSchedule(adapter, *schedule);
+  // Reseeding the measurement source changes what the drive charges.
+  truth.ResetNoise(1234);
+  drive.SetPosition(0);
+  sim::ExecutionResult reseeded = sim::ExecuteSchedule(drive, *schedule);
   EXPECT_NE(reseeded.total_seconds, actual.total_seconds);
 }
 

@@ -221,7 +221,7 @@ inline QueueSimResult RunQueueSimulation(const tape::LocateModel& model,
       }
       RecoveringExecutionResult res = executor.Execute(
           *schedule,
-          [&](const sched::Request& req, double at, bool ok) {
+          [&](const sched::Request& req, double at, double, bool ok) {
             complete(req.segment, base + at, ok);
           });
       clock += res.total_seconds;

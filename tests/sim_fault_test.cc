@@ -277,7 +277,7 @@ TEST_F(FaultTest, ZeroFaultsReproduceFullTapeScan) {
   int steps = 0;
   bool saw_multi_segment = false;
   RecoveringExecutionResult r = executor.Execute(
-      *schedule, [&](const Request& req, double at_seconds, bool ok) {
+      *schedule, [&](const Request& req, double at_seconds, double, bool ok) {
         ++steps;
         EXPECT_TRUE(ok);
         EXPECT_EQ(at_seconds, model_.ReadSeconds(0, req.last()))
@@ -292,6 +292,57 @@ TEST_F(FaultTest, ZeroFaultsReproduceFullTapeScan) {
   EXPECT_EQ(r.final_position, plain.final_position);
   EXPECT_EQ(r.segments_read, plain.segments_read);
   EXPECT_EQ(r.requests_serviced, 9);
+}
+
+TEST_F(FaultTest, StepsAreLocatePlusReadAndTileTheElapsedTime) {
+  auto schedule = BuildSchedule(model_, 5000, UniformBatch(48, 17),
+                                Algorithm::kLoss);
+  ASSERT_TRUE(schedule.ok());
+
+  // No fault: each request's step is exactly its locate plus its read, as
+  // a twin drive replaying the order charges them.
+  drive::ModelDrive twin(model_, schedule->initial_position);
+  int steps = 0;
+  RecoveringExecutor(model_, nullptr)
+      .Execute(*schedule,
+               [&](const Request& req, double, double step, bool ok) {
+                 ++steps;
+                 EXPECT_TRUE(ok);
+                 double expected =
+                     twin.Locate(req.segment).times.locate_seconds;
+                 expected +=
+                     twin.ReadSegments(req.segment, req.last())
+                         .times.read_seconds;
+                 EXPECT_EQ(step, expected) << "request " << steps;
+               });
+  EXPECT_EQ(steps, 48);
+
+  // Under faults the steps still add up to the completion stamps (up to
+  // summation order), so every charge lands in both.
+  for (bool scan : {false, true}) {
+    auto faulty_schedule =
+        scan ? BuildSchedule(model_, 0, UniformBatch(48, 17), Algorithm::kRead)
+             : schedule;
+    ASSERT_TRUE(faulty_schedule.ok());
+    FaultInjector injector(FaultProfile::Heavy().Scaled(3.0));
+    double stepped = 0.0;
+    RecoveringExecutionResult r =
+        RecoveringExecutor(model_, &injector)
+            .Execute(*faulty_schedule,
+                     [&](const Request&, double at, double step, bool) {
+                       EXPECT_GE(step, 0.0);
+                       stepped += step;
+                       if (!scan) {
+                         EXPECT_NEAR(stepped, at, 1e-9 * at);
+                       }
+                     });
+    EXPECT_GT(r.recovery_seconds, 0.0) << "scan " << scan;
+    // A walk charges everything before its last callback; a scan also
+    // rewinds after it.
+    EXPECT_NEAR(stepped, r.total_seconds - r.rewind_seconds,
+                1e-9 * r.total_seconds)
+        << "scan " << scan;
+  }
 }
 
 TEST_F(FaultTest, EmptyScheduleIsZeroWork) {
@@ -338,12 +389,14 @@ TEST_F(FaultTest, EveryRequestServicedOrAbandoned) {
     double last_at = 0.0;
     RecoveringExecutionResult r =
         RecoveringExecutor(model_, &injector)
-            .Execute(*schedule, [&](const Request&, double at, bool ok) {
-              ++callbacks;
-              if (!ok) ++failures;
-              EXPECT_GE(at, last_at);  // completion stamps are monotone
-              last_at = at;
-            });
+            .Execute(*schedule,
+                     [&](const Request&, double at, double, bool ok) {
+                       ++callbacks;
+                       if (!ok) ++failures;
+                       // Completion stamps are monotone.
+                       EXPECT_GE(at, last_at);
+                       last_at = at;
+                     });
     EXPECT_EQ(callbacks, 40);
     EXPECT_EQ(failures,
               static_cast<int>(r.abandoned_segments.size()));
@@ -419,7 +472,7 @@ TEST_F(FaultTest, ReschedulingCanBeDisabled) {
   profile.permanent_error_rate = 0.3;
   FaultInjector injector(profile);
   RecoveryOptions options;
-  options.reschedule_after_fault = false;
+  options.max_reschedules = 0;
   auto schedule = BuildSchedule(model_, 0, UniformBatch(32, 29),
                                 Algorithm::kLoss);
   ASSERT_TRUE(schedule.ok());

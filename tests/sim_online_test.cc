@@ -415,6 +415,88 @@ TEST_F(OnlineServerTest, DuplicateSegmentsAnswerOldestFirst) {
   EXPECT_LT(at_times[1], at_times[2]);
 }
 
+TEST_F(OnlineServerTest, ReadBatchAnswersEachRequestWhenThePassReachesIt) {
+  // One READ batch through the serving loop: a locate to BOT, one pass
+  // over the whole tape, then a rewind. Each request is answered when the
+  // pass reaches its segment, and the drive ends the batch back at BOT.
+  constexpr int kN = 24;
+  const tape::SegmentId last = model_.geometry().total_segments() - 1;
+  OnlineServerConfig config;
+  config.algorithm = sched::Algorithm::kRead;
+  config.dispatch_min_batch = kN;
+  ASSERT_TRUE(ValidateOnlineServerConfig(config).ok());
+  std::vector<ServingRequest> requests;
+  Lrand48 rng(31);
+  for (int i = 0; i < kN; ++i) {
+    ServingRequest r;
+    r.time = 10.0 * (i + 1);
+    r.segment = rng.NextBounded(last + 1);
+    r.id = i;
+    requests.push_back(r);
+  }
+  // The batch dispatches when the N-th request arrives, with the head at
+  // BOT; a request's fault-free stamp is where the pass reaches it.
+  const double pass_start = requests.back().time + model_.LocateSeconds(0, 0);
+  auto fault_free_stamp = [&](tape::SegmentId segment) {
+    return pass_start + model_.ReadSeconds(0, segment);
+  };
+
+  struct Answer {
+    tape::SegmentId segment;
+    double at;
+    bool ok;
+  };
+  auto serve = [&](const OnlineServerConfig& c, std::vector<Answer>* answers) {
+    ServingCore core({&model_}, c, c.seed);
+    core.set_completion_callback(
+        [&](const ServingRequest& r, double at, bool ok) {
+          answers->push_back(Answer{r.segment, at, ok});
+        });
+    for (const ServingRequest& r : requests) core.Push(r);
+    core.FinishInput();
+    for (int guard = 0; core.Step() != ServingStep::kDone; ++guard) {
+      EXPECT_LT(guard, 1000) << "serving loop failed to converge";
+      if (guard >= 1000) break;
+    }
+    core.FinishResult();
+    EXPECT_EQ(core.result().batches, 1);
+    return std::make_pair(core.clock(), core.result());
+  };
+
+  std::vector<Answer> answers;
+  auto [end_clock, result] = serve(config, &answers);
+  ASSERT_EQ(answers.size(), static_cast<size_t>(kN));
+  EXPECT_EQ(result.completed, kN);
+  for (const Answer& a : answers) {
+    EXPECT_TRUE(a.ok);
+    EXPECT_EQ(a.at, fault_free_stamp(a.segment)) << "segment " << a.segment;
+  }
+  EXPECT_DOUBLE_EQ(end_clock, pass_start + (model_.ReadSeconds(0, last) +
+                                            model_.RewindSeconds(last)));
+
+  // Under light faults with the breaker armed, every request is still
+  // answered exactly once, and recovery can only delay an answer.
+  config.faults = FaultProfile::Light();
+  config.breaker_enabled = true;
+  double recovery_seconds = 0.0;
+  for (int32_t fault_seed = 1; fault_seed <= 20; ++fault_seed) {
+    config.faults.seed = fault_seed;
+    std::vector<Answer> faulty;
+    auto [faulty_clock, faulty_result] = serve(config, &faulty);
+    EXPECT_EQ(faulty_result.completed + faulty_result.failed, kN);
+    EXPECT_EQ(faulty.size(), static_cast<size_t>(kN));
+    for (const Answer& a : faulty) {
+      if (a.ok) {
+        EXPECT_GE(a.at, fault_free_stamp(a.segment))
+            << "fault seed " << fault_seed << ", segment " << a.segment;
+      }
+    }
+    EXPECT_GE(faulty_clock, end_clock) << "fault seed " << fault_seed;
+    recovery_seconds += faulty_result.recovery_seconds;
+  }
+  EXPECT_GT(recovery_seconds, 0.0) << "no fault struck any of the passes";
+}
+
 TEST_F(OnlineServerTest, ValidateRejectsGarbageConfigs) {
   OnlineServerConfig ok;
   EXPECT_TRUE(ValidateOnlineServerConfig(ok).ok());

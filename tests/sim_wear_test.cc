@@ -154,8 +154,7 @@ class MultiDriveWearTest : public ::testing::Test {
  protected:
   MultiDriveWearTest()
       : library_(tape::Dlt4000TapeParams(), /*cartridges=*/2,
-                 tape::Dlt4000Timings(), store::LibraryTimings{},
-                 /*first_seed=*/1, /*drives=*/2),
+                 tape::Dlt4000Timings(), /*first_seed=*/1, /*drives=*/2),
         // Cartridge c is generated from seed first_seed + c; these twins
         // give RecordSchedule the Dlt4000-typed view of each bay's tape.
         model0_(tape::TapeGeometry::Generate(tape::Dlt4000TapeParams(), 1),

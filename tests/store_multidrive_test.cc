@@ -21,7 +21,7 @@ using tape::Dlt4000TapeParams;
 using tape::Dlt4000Timings;
 
 TapeLibrary MakeLibrary(int drives, int cartridges = 4) {
-  return TapeLibrary(Dlt4000TapeParams(), cartridges, Dlt4000Timings(), {},
+  return TapeLibrary(Dlt4000TapeParams(), cartridges, Dlt4000Timings(),
                      /*first_seed=*/1, drives);
 }
 
@@ -107,7 +107,7 @@ TEST(MultiDriveTest, MixedFamilyModelsDriveSeparateBays) {
   models.push_back(std::make_unique<tape::Dlt4000LocateModel>(
       tape::TapeGeometry::Generate(Dlt4000TapeParams(), 2),
       Dlt4000Timings()));
-  TapeLibrary library(std::move(models), {}, /*drives=*/2);
+  TapeLibrary library(std::move(models), /*drives=*/2);
   ASSERT_TRUE(library.Mount(0, 0).ok());
   ASSERT_TRUE(library.Mount(1, 1).ok());
   ASSERT_TRUE(library.LocateTo(0, 5000).ok());

@@ -88,32 +88,6 @@ TEST(AccumulatorTest, MergeWithEmpty) {
   EXPECT_DOUBLE_EQ(empty.mean(), 1.5);
 }
 
-TEST(HistogramTest, CountsAndClamping) {
-  Histogram h(0.0, 10.0, 10);
-  h.Add(0.5);
-  h.Add(9.5);
-  h.Add(-5.0);   // clamps into bucket 0
-  h.Add(100.0);  // clamps into last bucket
-  EXPECT_EQ(h.total(), 4);
-  EXPECT_EQ(h.bucket_count(0), 2);
-  EXPECT_EQ(h.bucket_count(9), 2);
-}
-
-TEST(HistogramTest, QuantileOfUniformFill) {
-  Histogram h(0.0, 100.0, 100);
-  for (int i = 0; i < 100; ++i) h.Add(i + 0.5);
-  EXPECT_NEAR(h.Quantile(0.5), 50.0, 1.5);
-  EXPECT_NEAR(h.Quantile(0.9), 90.0, 1.5);
-  EXPECT_NEAR(h.Quantile(0.0), 0.0, 1.5);
-}
-
-TEST(HistogramTest, ToStringListsNonEmptyBuckets) {
-  Histogram h(0.0, 10.0, 10);
-  h.Add(1.5);
-  std::string s = h.ToString();
-  EXPECT_NE(s.find("1"), std::string::npos);
-}
-
 TEST(TableTest, AlignsColumns) {
   Table t;
   t.SetHeader({"N", "mean", "sd"});
