@@ -1,4 +1,4 @@
-// Million-request stress harness (ROADMAP item 3): open-loop load against
+// Million-request stress harness (docs/stress.md): open-loop load against
 // the serving stack with tail-latency SLO reporting.
 //
 // Part 1 — the knee sweep: for each scheduling policy, a short calibration

@@ -1,5 +1,6 @@
 #include "serpentine/fleet/catalog.h"
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 
@@ -53,6 +54,25 @@ struct FillCursor {
   tape::SegmentId segment = 0;
   int64_t remaining = 0;
 };
+
+/// Under round-robin placement with no library full, the replicas of
+/// logical segments below `logical` that land on `library`. Replica r' of
+/// logical j lands on (j + r') mod L, so each r' contributes the j < logical
+/// with j ≡ library − r' (mod L): ⌊logical / L⌋ of them, plus one when
+/// that residue is below logical mod L. For logical = N this is the
+/// library's placed count; for logical = i, the fill position of i's
+/// replica there, since no earlier replica of i shares its library.
+int64_t RoundRobinBelow(int64_t logical, int library, int libraries,
+                        int replication) {
+  const int64_t rest = logical % libraries;
+  int64_t count = logical / libraries * replication;
+  for (int r = 0; r < replication; ++r) {
+    int residue = library - r;
+    if (residue < 0) residue += libraries;
+    if (residue < rest) ++count;
+  }
+  return count;
+}
 
 }  // namespace
 
@@ -108,12 +128,40 @@ serpentine::StatusOr<Catalog> Catalog::Build(const FleetTopology& topology,
         "at least one library with positive weight (got " +
         std::to_string(options.weights.size()) + " all-zero weights)");
   }
-  if (logical_segments * options.replication > topology.total_segments()) {
+  // Divided, not multiplied: N·R can overflow int64 where N alone cannot.
+  if (logical_segments > topology.total_segments() / options.replication) {
     return ResourceExhaustedError(
         "Catalog: " + std::to_string(logical_segments) + " segments x " +
         std::to_string(options.replication) + " replicas exceed fleet "
         "capacity " +
         std::to_string(topology.total_segments()));
+  }
+
+  Catalog catalog;
+  catalog.num_logical_ = logical_segments;
+  catalog.replication_ = options.replication;
+  catalog.fill_end_.resize(libraries);
+  for (int lib = 0; lib < libraries; ++lib) {
+    tape::SegmentId end = 0;
+    for (tape::SegmentId c : topology.capacity[lib]) {
+      end += c;
+      catalog.fill_end_[lib].push_back(end);
+    }
+  }
+
+  // Round-robin that never reaches a full library never skips one, so it
+  // places replica r of logical i on (i + r) mod L exactly, and replica()
+  // can compute it. That holds iff every library's final count fits its
+  // capacity: the count before any pick is below the final count.
+  if (options.policy == PlacementPolicy::kRoundRobin) {
+    bool fits = true;
+    for (int lib = 0; lib < libraries; ++lib) {
+      catalog.placed_per_library_.push_back(RoundRobinBelow(
+          logical_segments, lib, libraries, options.replication));
+      fits = fits && catalog.placed_per_library_[lib] <=
+                         topology.library_segments(lib);
+    }
+    if (fits) return catalog;
   }
 
   std::vector<FillCursor> cursors(libraries);
@@ -123,9 +171,7 @@ serpentine::StatusOr<Catalog> Catalog::Build(const FleetTopology& topology,
 
   Lrand48 rng(options.seed);
 
-  Catalog catalog;
-  catalog.replication_ = options.replication;
-  catalog.replicas_.resize(logical_segments);
+  catalog.table_.resize(logical_segments * options.replication);
   catalog.placed_per_library_.assign(libraries, 0);
 
   std::vector<int> chosen;
@@ -134,7 +180,6 @@ serpentine::StatusOr<Catalog> Catalog::Build(const FleetTopology& topology,
   candidates.reserve(libraries);
   for (int64_t logical = 0; logical < logical_segments; ++logical) {
     chosen.clear();
-    catalog.replicas_[logical].reserve(options.replication);
     for (int r = 0; r < options.replication; ++r) {
       // Candidates: non-full libraries not already holding this segment.
       candidates.clear();
@@ -206,7 +251,7 @@ serpentine::StatusOr<Catalog> Catalog::Build(const FleetTopology& topology,
       loc.library = pick;
       loc.cartridge = cur.cartridge;
       loc.segment = cur.segment;
-      catalog.replicas_[logical].push_back(loc);
+      catalog.table_[logical * options.replication + r] = loc;
       ++catalog.placed_per_library_[pick];
       // Advance the sequential fill cursor.
       --cur.remaining;
@@ -218,6 +263,31 @@ serpentine::StatusOr<Catalog> Catalog::Build(const FleetTopology& topology,
     }
   }
   return catalog;
+}
+
+ReplicaLocation Catalog::replica(int64_t logical, int r) const {
+  SERPENTINE_CHECK(logical >= 0 && logical < num_logical_);
+  SERPENTINE_CHECK(r >= 0 && r < replication_);
+  if (!table_.empty()) return table_[logical * replication_ + r];
+
+  const int libraries = static_cast<int>(fill_end_.size());
+  ReplicaLocation loc;
+  loc.library = static_cast<int>((logical + r) % libraries);
+  const int64_t position =
+      RoundRobinBelow(logical, loc.library, libraries, replication_);
+  // Cartridge-major fill: the first cartridge whose end lies past it.
+  const std::vector<tape::SegmentId>& ends = fill_end_[loc.library];
+  auto it = std::upper_bound(ends.begin(), ends.end(), position);
+  loc.cartridge = static_cast<int>(it - ends.begin());
+  loc.segment = it == ends.begin() ? position : position - it[-1];
+  return loc;
+}
+
+std::vector<ReplicaLocation> Catalog::replicas(int64_t logical) const {
+  std::vector<ReplicaLocation> out;
+  out.reserve(replication_);
+  for (int r = 0; r < replication_; ++r) out.push_back(replica(logical, r));
+  return out;
 }
 
 }  // namespace serpentine::fleet

@@ -1,6 +1,6 @@
 // The fleet catalog: where every logical segment's replicas live. The
 // single-library stack addresses physical segments directly; a fleet
-// (ROADMAP item 2, TALICS³ direction) needs one more level of naming —
+// (docs/fleet.md, TALICS³ direction) needs one more level of naming —
 // a logical segment maps to R physical (library, cartridge, segment)
 // locations, placed at ingest by a policy and chosen at read time by the
 // router (router.h) on estimated service time.
@@ -81,6 +81,13 @@ struct PlacementOptions {
 /// identity mapping — logical segment i IS physical segment i — which is
 /// what lets a 1-library fleet reproduce the single-library OnlineServer
 /// stream bit for bit.
+///
+/// Round-robin placement that fits every library is computed on demand:
+/// replica r of logical i sits on library (i + r) mod L at the fill
+/// position given by counting the earlier replicas that library took, so
+/// the catalog holds O(L·C) numbers however many segments it maps. Random
+/// and weighted placement, and a round-robin placement that overfills a
+/// library, store one flat table of N·R locations.
 class Catalog {
  public:
   /// Places `logical_segments` segments × replication replicas onto the
@@ -91,15 +98,15 @@ class Catalog {
                                              int64_t logical_segments,
                                              const PlacementOptions& options);
 
-  int64_t num_logical() const {
-    return static_cast<int64_t>(replicas_.size());
-  }
+  int64_t num_logical() const { return num_logical_; }
   int replication() const { return replication_; }
 
-  /// The replicas of `logical`, in placement order (replica 0 first).
-  const std::vector<ReplicaLocation>& replicas(int64_t logical) const {
-    return replicas_[logical];
-  }
+  /// Replica `r` of `logical` (replica 0 is the first placed). CHECKs
+  /// 0 <= logical < num_logical() and 0 <= r < replication().
+  ReplicaLocation replica(int64_t logical, int r) const;
+
+  /// Every replica of `logical`, in placement order, as a new vector.
+  std::vector<ReplicaLocation> replicas(int64_t logical) const;
 
   /// Physical segments placed on each library (placement-balance metric).
   const std::vector<int64_t>& placed_per_library() const {
@@ -107,8 +114,14 @@ class Catalog {
   }
 
  private:
-  std::vector<std::vector<ReplicaLocation>> replicas_;
+  /// fill_end_[l][c]: the capacity of library l's cartridges 0..c, where
+  /// its sequential fill moves past cartridge c.
+  std::vector<std::vector<tape::SegmentId>> fill_end_;
   std::vector<int64_t> placed_per_library_;
+  /// Replica r of logical i at [i * replication_ + r]; empty when the
+  /// placement is computed.
+  std::vector<ReplicaLocation> table_;
+  int64_t num_logical_ = 0;
   int replication_ = 1;
 };
 

@@ -70,7 +70,6 @@ Status ValidateFleetConfig(const Fleet& fleet, const FleetConfig& config) {
   }
   SERPENTINE_RETURN_IF_ERROR(
       sim::ValidateOnlineServerConfig(config.serving));
-  SERPENTINE_RETURN_IF_ERROR(ValidateRouterOptions(config.router));
   if (config.logical_segments < 0) {
     return InvalidArgumentError(
         "FleetConfig: logical_segments must be >= 0 (0 = capacity / "
@@ -136,19 +135,19 @@ void FleetEngine::CrankTo(double t) {
 }
 
 void FleetEngine::Submit(const sim::ServingRequest& request) {
-  const std::vector<ReplicaLocation>& replicas =
-      catalog_.replicas(request.segment);
-  scores_.resize(replicas.size());
-  for (size_t i = 0; i < replicas.size(); ++i) {
-    const sim::ServingCore& core = *cores_[replicas[i].library];
+  const int replication = catalog_.replication();
+  scores_.resize(replication);
+  for (int r = 0; r < replication; ++r) {
+    const ReplicaLocation replica = catalog_.replica(request.segment, r);
+    const sim::ServingCore& core = *cores_[replica.library];
     // With one replica the route is decided; skip the estimate.
-    scores_[i].seconds =
-        replicas.size() == 1
+    scores_[r].seconds =
+        replication == 1
             ? 0.0
             : std::max(core.clock() - request.time, 0.0) +
-                  core.EstimateServiceSeconds(replicas[i].cartridge,
-                                              replicas[i].segment);
-    scores_[i].breaker_open = core.breaker_open();
+                  core.EstimateServiceSeconds(replica.cartridge,
+                                              replica.segment);
+    scores_[r].breaker_open = core.breaker_open();
   }
 
   RouteDecision decision = router_.Route(request.segment, scores_);

@@ -5,11 +5,6 @@
 
 namespace serpentine::fleet {
 
-Status ValidateRouterOptions(const RouterOptions& options) {
-  (void)options;  // every setting of the single knob is valid today
-  return OkStatus();
-}
-
 Router::Router(const Catalog* catalog, int libraries, RouterOptions options)
     : catalog_(catalog), options_(options) {
   SERPENTINE_CHECK(catalog != nullptr);
@@ -19,9 +14,8 @@ Router::Router(const Catalog* catalog, int libraries, RouterOptions options)
 
 RouteDecision Router::Route(int64_t logical,
                             const std::vector<ReplicaScore>& scores) {
-  const std::vector<ReplicaLocation>& replicas = catalog_->replicas(logical);
-  SERPENTINE_CHECK_EQ(scores.size(), replicas.size());
-  SERPENTINE_CHECK(!scores.empty());
+  SERPENTINE_CHECK_EQ(scores.size(),
+                      static_cast<size_t>(catalog_->replication()));
 
   // Two argmins in one pass: the best replica overall and the best healthy
   // one. Strict `<` keeps ties on the lowest replica index.
@@ -48,7 +42,7 @@ RouteDecision Router::Route(int64_t logical,
     // someone has to take the request; the cheapest queue eats it.
     decision.replica = best;
   }
-  decision.location = replicas[decision.replica];
+  decision.location = catalog_->replica(logical, decision.replica);
   decision.score_seconds = scores[decision.replica].seconds;
 
   ++dispatches_;

@@ -17,12 +17,11 @@
 #include <vector>
 
 #include "serpentine/fleet/catalog.h"
-#include "serpentine/util/status.h"
 
 namespace serpentine::fleet {
 
-/// One replica's bid for a request, in the same order as
-/// Catalog::replicas(logical).
+/// One replica's bid for a request, indexed by replica number (as
+/// Catalog::replica(logical, r)).
 struct ReplicaScore {
   /// Estimated seconds until the candidate read completes on that
   /// replica's library (from the request's arrival instant). FleetEngine
@@ -41,11 +40,9 @@ struct RouterOptions {
   bool failover_on_open_breaker = true;
 };
 
-Status ValidateRouterOptions(const RouterOptions& options);
-
 /// The outcome of routing one request.
 struct RouteDecision {
-  /// Index into Catalog::replicas(logical).
+  /// The chosen replica number, r in Catalog::replica(logical, r).
   int replica = 0;
   ReplicaLocation location;
   /// The chosen replica's score.
@@ -61,8 +58,8 @@ class Router {
  public:
   Router(const Catalog* catalog, int libraries, RouterOptions options = {});
 
-  /// Routes logical segment `logical` given one score per replica (same
-  /// order as catalog->replicas(logical); sizes must match). Ties on
+  /// Routes logical segment `logical` given one score per replica (score r
+  /// for catalog->replica(logical, r); one per replica). Ties on
   /// seconds break toward the lower replica index, so equal-cost fleets
   /// route deterministically.
   RouteDecision Route(int64_t logical, const std::vector<ReplicaScore>& scores);

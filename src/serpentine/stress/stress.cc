@@ -82,7 +82,6 @@ Status ValidateStressConfig(const StressConfig& config) {
   // total_requests inherits ValidateOnlineServerConfig's [1, 2^32)
   // id-packing bound.
   SERPENTINE_RETURN_IF_ERROR(sim::ValidateOnlineServerConfig(config.serving));
-  SERPENTINE_RETURN_IF_ERROR(fleet::ValidateRouterOptions(config.router));
   return OkStatus();
 }
 

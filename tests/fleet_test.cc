@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -23,6 +24,8 @@
 #include "serpentine/util/check.h"
 #include "serpentine/util/lrand48.h"
 #include "serpentine/util/replicate.h"
+
+#include "catalog_reference.h"
 
 namespace serpentine::fleet {
 namespace {
@@ -168,6 +171,177 @@ TEST(CatalogTest, RunsOutOfCapacityWithResourceExhausted) {
   PlacementOptions options;
   EXPECT_EQ(Catalog::Build(t, 5, options).status().code(),
             StatusCode::kResourceExhausted);
+
+  // 2^62 segments x 2 replicas is 2^63, one past INT64_MAX: a capacity
+  // check that multiplies wraps negative and lets the build through.
+  options.replication = 2;
+  EXPECT_EQ(
+      Catalog::Build(UniformTopology(2, 1, 10), int64_t{1} << 62, options)
+          .status()
+          .code(),
+      StatusCode::kResourceExhausted);
+}
+
+// Holds every replica(), replicas() and placed_per_library() of the
+// catalog to the placement loop in catalog_reference.h. Returns nothing
+// when the reference rejects the input, and otherwise whether it placed
+// every replica r of logical i on library (i + r) mod L, never skipping a
+// full one: the round-robin case Build computes instead of storing.
+std::optional<bool> ExpectMatchesReference(const FleetTopology& t,
+                                           int64_t logical,
+                                           const PlacementOptions& options,
+                                           const std::string& label) {
+  auto want = reference::Build(t, logical, options);
+  auto got = Catalog::Build(t, logical, options);
+  EXPECT_EQ(got.status().code(), want.status().code())
+      << label << ": " << got.status().ToString() << " vs "
+      << want.status().ToString();
+  if (!want.ok() || !got.ok()) return std::nullopt;
+  EXPECT_EQ(got->num_logical(), logical) << label;
+  EXPECT_EQ(got->replication(), options.replication) << label;
+  EXPECT_EQ(got->placed_per_library(), want->placed_per_library_) << label;
+  bool unskipped = true;
+  for (int64_t i = 0; i < logical; ++i) {
+    const std::vector<ReplicaLocation>& expected = want->replicas_[i];
+    for (int r = 0; r < options.replication; ++r) {
+      const ReplicaLocation loc = got->replica(i, r);
+      if (!(loc == expected[r])) {
+        ADD_FAILURE() << label << ": logical " << i << " replica " << r
+                      << " is (" << loc.library << ", " << loc.cartridge
+                      << ", " << loc.segment << "), reference ("
+                      << expected[r].library << ", " << expected[r].cartridge
+                      << ", " << expected[r].segment << ")";
+        return unskipped;
+      }
+      unskipped = unskipped && loc.library == (i + r) % t.libraries();
+    }
+    if (got->replicas(i) != expected) {
+      ADD_FAILURE() << label << ": replicas(" << i << ") differs";
+      return unskipped;
+    }
+  }
+  return unskipped;
+}
+
+TEST(CatalogTest, MatchesTheReferencePlacement) {
+  // Seeded topologies: 1-6 libraries of 1-4 cartridges with uneven
+  // capacities, every replication, all three policies, and logical counts
+  // from 1 to past the fleet's capacity, so round-robin both fits and
+  // overfills some library.
+  Lrand48 rng(20261018);
+  int fitting = 0;
+  int overfilling = 0;
+  for (int trial = 0; trial < 2400; ++trial) {
+    FleetTopology t;
+    t.capacity.resize(1 + rng.NextBounded(6));
+    for (std::vector<tape::SegmentId>& lib : t.capacity) {
+      lib.resize(1 + rng.NextBounded(4));
+      for (tape::SegmentId& c : lib) c = 1 + rng.NextBounded(12);
+    }
+    const int libraries = t.libraries();
+    PlacementOptions options;
+    options.policy = static_cast<PlacementPolicy>(trial % 3);
+    options.replication = 1 + static_cast<int>(rng.NextBounded(libraries));
+    options.seed = static_cast<int32_t>(rng.Next31());
+    if (options.policy == PlacementPolicy::kWeighted && trial % 2 == 0) {
+      options.weights.resize(libraries);
+      for (double& w : options.weights) w = 0.5 * rng.NextBounded(5);
+      options.weights[rng.NextBounded(libraries)] = 1.0;
+    }
+    const int64_t logical =
+        1 + rng.NextBounded(t.total_segments() / options.replication + 2);
+    const std::optional<bool> unskipped = ExpectMatchesReference(
+        t, logical, options, "trial " + std::to_string(trial));
+    if (HasFailure()) return;
+    if (options.policy == PlacementPolicy::kRoundRobin &&
+        unskipped.has_value()) {
+      ++(*unskipped ? fitting : overfilling);
+    }
+  }
+  // Both round-robin paths, computed and stored, saw hundreds of cases.
+  EXPECT_GE(fitting, 300);
+  EXPECT_GE(overfilling, 100);
+
+  // fleet-replicated's fleet: 3 libraries x 2 DLT4000 cartridges,
+  // replication 2, the smallest library's capacity of logical segments.
+  UniformFleet uniform(tape::Dlt4000TapeParams(), tape::Dlt4000Timings(),
+                       /*libraries=*/3, /*cartridges_per_library=*/2);
+  const FleetTopology topology = uniform.fleet().Topology();
+  int64_t logical = topology.library_segments(0);
+  for (int lib = 1; lib < topology.libraries(); ++lib) {
+    logical = std::min(logical, topology.library_segments(lib));
+  }
+  PlacementOptions options;
+  options.replication = 2;
+  EXPECT_EQ(ExpectMatchesReference(topology, logical, options, "3x2"),
+            std::optional<bool>(true));
+}
+
+TEST(CatalogTest, RoundRobinHoldsNoPerSegmentState) {
+  // 2^40-segment cartridges: one pointer per logical segment would be
+  // 8 TiB, so this builds only if round-robin placement is computed.
+  constexpr tape::SegmentId kCartridge = tape::SegmentId{1} << 40;
+
+  // 1 x 1: the identity mapping, up to its last segment.
+  auto one = Catalog::Build(UniformTopology(1, 1, kCartridge), kCartridge,
+                            PlacementOptions{});
+  ASSERT_TRUE(one.ok()) << one.status().ToString();
+  EXPECT_EQ(one->replica(kCartridge - 1, 0),
+            (ReplicaLocation{0, 0, kCartridge - 1}));
+  EXPECT_EQ(one->placed_per_library(), std::vector<int64_t>{kCartridge});
+
+  // 3 x 2 at the smallest library's capacity, 2^41 logical segments. The
+  // last logical segment's replicas are the last each of their libraries
+  // took, so each sits at its library's placed count minus one, in
+  // cartridge-major order.
+  const int64_t logical = 2 * kCartridge;
+  for (int replication = 1; replication <= 3; ++replication) {
+    PlacementOptions options;
+    options.replication = replication;
+    auto three = Catalog::Build(UniformTopology(3, 2, kCartridge), logical,
+                                options);
+    ASSERT_TRUE(three.ok()) << three.status().ToString();
+    const std::vector<int64_t>& placed = three->placed_per_library();
+    ASSERT_EQ(placed.size(), 3u);
+    EXPECT_EQ(placed[0] + placed[1] + placed[2], logical * replication);
+    for (int r = 0; r < replication; ++r) {
+      const int library = static_cast<int>((logical - 1 + r) % 3);
+      const int64_t position = placed[library] - 1;
+      EXPECT_EQ(three->replica(logical - 1, r),
+                (ReplicaLocation{library,
+                                 static_cast<int>(position / kCartridge),
+                                 position % kCartridge}))
+          << "replication " << replication << " replica " << r;
+    }
+  }
+  // Worked by hand for replication 2: 2^41 = 3q + 2, and logical 2^41 - 1
+  // = 3q + 1 puts replica 1 on library 2, which takes 2q + 1 segments.
+  PlacementOptions options;
+  options.replication = 2;
+  auto two = Catalog::Build(UniformTopology(3, 2, kCartridge), logical,
+                            options);
+  ASSERT_TRUE(two.ok());
+  const int64_t q = (logical - 2) / 3;
+  EXPECT_EQ(two->placed_per_library(),
+            (std::vector<int64_t>{2 * q + 1, 2 * q + 2, 2 * q + 1}));
+  EXPECT_EQ(two->replica(logical - 1, 1),
+            (ReplicaLocation{2, 1, 2 * q - kCartridge}));
+}
+
+TEST(CatalogDeathTest, ReplicaChecksItsBounds) {
+  // Both storage forms: computed round-robin and the stored table.
+  for (PlacementPolicy policy :
+       {PlacementPolicy::kRoundRobin, PlacementPolicy::kRandom}) {
+    PlacementOptions options;
+    options.policy = policy;
+    options.replication = 2;
+    auto catalog = Catalog::Build(UniformTopology(3, 1, 8), 8, options);
+    ASSERT_TRUE(catalog.ok());
+    EXPECT_DEATH((void)catalog->replica(8, 0), "CHECK failed");
+    EXPECT_DEATH((void)catalog->replica(-1, 0), "CHECK failed");
+    EXPECT_DEATH((void)catalog->replica(0, 2), "CHECK failed");
+    EXPECT_DEATH((void)catalog->replica(0, -1), "CHECK failed");
+  }
 }
 
 TEST(CatalogTest, PolicyNamesRoundTrip) {
