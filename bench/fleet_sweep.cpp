@@ -202,8 +202,9 @@ int main() {
           !library.Mount(d, tape).ok()) {
         continue;  // cartridge busy in another bay this round
       }
-      (void)library.LocateTo(d, 1000 + 100 * i);
-      (void)library.ReadForward(d, 4);
+      drive::Drive* head = library.mounted_drive(d);
+      head->Locate(1000 + 100 * i);
+      head->ReadSegments(head->Position(), head->Position() + 3);
     }
     double wall = bench::SecondsSince(begin);
     if (drives == 1 && library.robot_wait_seconds() != 0.0) ++violations;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <string>
 
 #include "serpentine/util/check.h"
@@ -46,6 +47,36 @@ int64_t FleetTopology::total_segments() const {
   return total;
 }
 
+serpentine::Status ValidateCapacities(const FleetTopology& topology) {
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  int64_t total = 0;
+  for (int lib = 0; lib < topology.libraries(); ++lib) {
+    int64_t sum = 0;
+    for (tape::SegmentId c : topology.capacity[lib]) {
+      if (c < 1) {
+        return InvalidArgumentError(
+            "library " + std::to_string(lib) +
+            " has a cartridge with non-positive capacity");
+      }
+      // Compared as differences: the sums themselves would overflow.
+      if (c > kMax - sum) {
+        return InvalidArgumentError(
+            "library " + std::to_string(lib) +
+            "'s cartridge capacities sum past INT64_MAX segments");
+      }
+      sum += c;
+    }
+    if (sum > kMax - total) {
+      return InvalidArgumentError(
+          "the fleet's library capacities sum past INT64_MAX segments "
+          "(at library " +
+          std::to_string(lib) + ")");
+    }
+    total += sum;
+  }
+  return OkStatus();
+}
+
 namespace {
 
 /// Sequential fill cursor of one library: next free (cartridge, segment).
@@ -88,14 +119,9 @@ serpentine::StatusOr<Catalog> Catalog::Build(const FleetTopology& topology,
       return InvalidArgumentError("Catalog: library " + std::to_string(lib) +
                                   " has no cartridges");
     }
-    for (tape::SegmentId c : topology.capacity[lib]) {
-      if (c < 1) {
-        return InvalidArgumentError(
-            "Catalog: library " + std::to_string(lib) +
-            " has a cartridge with non-positive capacity");
-      }
-    }
   }
+  SERPENTINE_RETURN_IF_ERROR(
+      AnnotateStatus(ValidateCapacities(topology), "Catalog"));
   if (logical_segments < 1) {
     return InvalidArgumentError(
         "Catalog: logical_segments must be >= 1, got " +

@@ -57,9 +57,16 @@ struct FleetTopology {
   int cartridges(int library) const {
     return static_cast<int>(capacity[library].size());
   }
+  /// Defined only on a topology ValidateCapacities accepts.
   int64_t library_segments(int library) const;
   int64_t total_segments() const;
 };
+
+/// InvalidArgument when a cartridge's capacity is not positive, when one
+/// library's capacities sum past INT64_MAX (naming the library), or when
+/// the fleet total does; OK otherwise. Catalog::Build and
+/// ValidateFleetConfig check it before anything sums capacities.
+serpentine::Status ValidateCapacities(const FleetTopology& topology);
 
 struct PlacementOptions {
   PlacementPolicy policy = PlacementPolicy::kRoundRobin;
@@ -92,8 +99,9 @@ class Catalog {
  public:
   /// Places `logical_segments` segments × replication replicas onto the
   /// topology. Fails with InvalidArgument on an impossible request
-  /// (replication > libraries, bad weights) and ResourceExhausted when
-  /// capacity runs out under the distinct-library constraint.
+  /// (replication > libraries, bad weights, capacities ValidateCapacities
+  /// rejects) and ResourceExhausted when capacity runs out under the
+  /// distinct-library constraint.
   static serpentine::StatusOr<Catalog> Build(const FleetTopology& topology,
                                              int64_t logical_segments,
                                              const PlacementOptions& options);

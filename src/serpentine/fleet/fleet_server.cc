@@ -69,6 +69,8 @@ Status ValidateFleetConfig(const Fleet& fleet, const FleetConfig& config) {
     }
   }
   SERPENTINE_RETURN_IF_ERROR(
+      AnnotateStatus(ValidateCapacities(fleet.Topology()), "FleetConfig"));
+  SERPENTINE_RETURN_IF_ERROR(
       sim::ValidateOnlineServerConfig(config.serving));
   if (config.logical_segments < 0) {
     return InvalidArgumentError(

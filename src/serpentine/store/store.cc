@@ -1,8 +1,10 @@
 #include "serpentine/store/store.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "serpentine/sched/selector.h"
+#include "serpentine/sim/recovering_executor.h"
 #include "serpentine/util/check.h"
 
 namespace serpentine::store {
@@ -10,46 +12,7 @@ namespace serpentine::store {
 TertiaryStore::TertiaryStore(StoreOptions options, TapeLibrary library)
     : options_(options),
       library_(std::move(library)),
-      cache_(options.cache_segments) {
-  end_of_data_.reserve(library_.num_cartridges());
-  for (int t = 0; t < library_.num_cartridges(); ++t) {
-    end_of_data_.push_back(
-        options_.cartridges_start_empty
-            ? 0
-            : library_.model(t).geometry().total_segments());
-  }
-}
-
-serpentine::StatusOr<tape::SegmentId> TertiaryStore::Append(int tape,
-                                                            int64_t count) {
-  if (tape < 0 || tape >= library_.num_cartridges()) {
-    return InvalidArgumentError("no such cartridge: " + std::to_string(tape));
-  }
-  if (count <= 0) return InvalidArgumentError("count must be positive");
-  tape::SegmentId eod = end_of_data_[tape];
-  tape::SegmentId capacity =
-      library_.model(tape).geometry().total_segments();
-  if (eod + count > capacity) {
-    return ResourceExhaustedError(
-        "cartridge " + std::to_string(tape) + " has only " +
-        std::to_string(capacity - eod) + " free segments");
-  }
-  SERPENTINE_RETURN_IF_ERROR(library_.Mount(tape));
-  // Position at the end of data. A fresh mount leaves the head at 0, which
-  // is already correct for the first append.
-  if (library_.head_position() != eod) {
-    SERPENTINE_RETURN_IF_ERROR(library_.LocateTo(eod).status());
-  }
-  SERPENTINE_RETURN_IF_ERROR(library_.WriteForward(count).status());
-  end_of_data_[tape] = eod + count;
-  return eod;
-}
-
-tape::SegmentId TertiaryStore::end_of_data(int tape) const {
-  SERPENTINE_CHECK_GE(tape, 0);
-  SERPENTINE_CHECK_LT(tape, static_cast<int>(end_of_data_.size()));
-  return end_of_data_[tape];
-}
+      cache_(options.cache_segments) {}
 
 serpentine::StatusOr<uint64_t> TertiaryStore::SubmitRead(
     int tape, tape::SegmentId segment, int64_t count) {
@@ -57,9 +20,14 @@ serpentine::StatusOr<uint64_t> TertiaryStore::SubmitRead(
     return InvalidArgumentError("no such cartridge: " + std::to_string(tape));
   }
   if (count <= 0) return InvalidArgumentError("count must be positive");
-  if (segment < 0 || segment + count > end_of_data_[tape]) {
-    return OutOfRangeError("read beyond end of data: segment " +
-                           std::to_string(segment));
+  // Compared as a difference: segment + count can overflow int64.
+  tape::SegmentId capacity =
+      library_.model(tape).geometry().total_segments();
+  if (segment < 0 || count > capacity - segment) {
+    return OutOfRangeError("read of " + std::to_string(count) +
+                           " segments at " + std::to_string(segment) +
+                           " runs off cartridge " + std::to_string(tape) +
+                           " (capacity " + std::to_string(capacity) + ")");
   }
 
   uint64_t id = next_id_++;
@@ -155,48 +123,40 @@ serpentine::Status TertiaryStore::FlushTape(int tape,
       sched::BuildBestSchedule(model, library_.head_position(),
                                std::move(requests), selector));
 
-  if (schedule.full_tape_scan) {
-    ++report->full_scans;
-    // One sequential pass: each request completes when the head sweeps
-    // past its last segment. FullScan() charges the locate home itself.
-    double pass_start =
-        library_.now() +
-        model.LocateSeconds(library_.head_position(), 0);
-    SERPENTINE_ASSIGN_OR_RETURN(double scan_seconds, library_.FullScan());
-    (void)scan_seconds;
-    for (const PendingRead& p : batch) {
-      double complete =
-          pass_start + model.ReadSeconds(0, p.request.last());
-      report->completed.push_back(CompletedRead{
-          p.id, tape, p.request, p.submit_seconds, complete, false});
-      for (int64_t i = 0; i < p.request.count && i < 64; ++i) {
-        cache_.Insert(CacheKey{tape, p.request.segment + i});
-      }
-    }
-    return OkStatus();
+  // Duplicate reads of one span are answered oldest first: each span
+  // stacks its batch indices newest first, so back() is the oldest.
+  std::map<std::pair<tape::SegmentId, int64_t>, std::vector<size_t>>
+      waiting;
+  for (size_t i = batch.size(); i-- > 0;) {
+    waiting[{batch[i].request.segment, batch[i].request.count}].push_back(i);
   }
 
-  // Execute the schedule request by request so each completion gets its
-  // own timestamp.
-  std::map<std::pair<tape::SegmentId, int64_t>, std::vector<size_t>>
-      by_request;
-  for (size_t i = 0; i < batch.size(); ++i) {
-    by_request[{batch[i].request.segment, batch[i].request.count}]
-        .push_back(i);
+  // The mounted head charges each op to the library clock, so a walk's
+  // request completes at the clock after its read. A full pass starts at
+  // BOT, and a request completes when the pass reads its last segment.
+  // The library's heads never fault, so every request is served.
+  drive::Drive& head = *library_.mounted_drive();
+  double pass_start = 0.0;
+  if (schedule.full_tape_scan) {
+    ++report->full_scans;
+    head.Locate(0);
+    pass_start = library_.now();
   }
-  for (const sched::Request& r : schedule.order) {
-    SERPENTINE_RETURN_IF_ERROR(library_.LocateTo(r.segment).status());
-    SERPENTINE_RETURN_IF_ERROR(library_.ReadForward(r.count).status());
-    auto& ids = by_request[{r.segment, r.count}];
-    SERPENTINE_CHECK(!ids.empty());
-    const PendingRead& p = batch[ids.back()];
-    ids.pop_back();
-    report->completed.push_back(CompletedRead{
-        p.id, tape, p.request, p.submit_seconds, library_.now(), false});
-    for (int64_t i = 0; i < r.count && i < 64; ++i) {
-      cache_.Insert(CacheKey{tape, r.segment + i});
-    }
-  }
+  sim::RecoveringExecutor(head, model)
+      .Execute(schedule, [&](const sched::Request& r, double at,
+                             double /*step*/, bool /*ok*/) {
+        std::vector<size_t>& ids = waiting[{r.segment, r.count}];
+        SERPENTINE_CHECK(!ids.empty());
+        const PendingRead& p = batch[ids.back()];
+        ids.pop_back();
+        double done =
+            schedule.full_tape_scan ? pass_start + at : library_.now();
+        report->completed.push_back(CompletedRead{
+            p.id, tape, p.request, p.submit_seconds, done, false});
+        for (int64_t i = 0; i < r.count && i < 64; ++i) {
+          cache_.Insert(CacheKey{tape, r.segment + i});
+        }
+      });
   return OkStatus();
 }
 

@@ -33,10 +33,6 @@ struct StoreOptions {
   /// entire tape, do the full read instead (paper §5: "for more than 1536
   /// requests just read the entire tape").
   bool auto_full_read = true;
-  /// When true, cartridges start empty: data must be loaded with Append()
-  /// and reads beyond the end of data are rejected. When false (the
-  /// paper's setting) cartridges arrive fully written.
-  bool cartridges_start_empty = false;
 };
 
 /// One finished read.
@@ -73,27 +69,19 @@ class TertiaryStore {
   TertiaryStore(StoreOptions options, TapeLibrary library);
 
   /// Enqueues a read of `count` segments starting at `segment` on
-  /// cartridge `tape`. Cache hits complete immediately. Returns the
-  /// request id.
+  /// cartridge `tape`, which arrives fully written (the paper's setting).
+  /// Cache hits complete immediately. Returns the request id, or
+  /// OutOfRange for a span that runs off the cartridge.
   serpentine::StatusOr<uint64_t> SubmitRead(int tape,
                                             tape::SegmentId segment,
                                             int64_t count = 1);
-
-  /// Appends `count` sequential segments to cartridge `tape` (the load
-  /// path: mounts, positions at the end of data, streams the write).
-  /// Synchronous — sequential writes are tape's native strength and need
-  /// no scheduling. Returns the first segment of the new range.
-  serpentine::StatusOr<tape::SegmentId> Append(int tape, int64_t count);
-
-  /// Segments written so far on cartridge `tape` (== capacity when the
-  /// store was built with pre-written cartridges).
-  tape::SegmentId end_of_data(int tape) const;
 
   /// Pending (non-cache-hit) request count.
   size_t pending() const;
 
   /// Mounts, schedules, and executes everything pending. Tapes with more
-  /// pending requests are mounted first.
+  /// pending requests are mounted first. Duplicate reads of one span are
+  /// answered oldest first.
   serpentine::StatusOr<FlushReport> Flush();
 
   TapeLibrary& library() { return library_; }
@@ -108,14 +96,15 @@ class TertiaryStore {
     double submit_seconds;
   };
 
-  /// Executes one tape's batch; appends completions to `report`.
+  /// Mounts `tape`, schedules its batch and runs it through a
+  /// sim::RecoveringExecutor over the mounted drive; appends completions
+  /// to `report`.
   serpentine::Status FlushTape(int tape, std::vector<PendingRead> batch,
                                FlushReport* report);
 
   StoreOptions options_;
   TapeLibrary library_;
   SegmentCache cache_;
-  std::vector<tape::SegmentId> end_of_data_;
   std::map<int, std::vector<PendingRead>> pending_by_tape_;
   std::vector<CompletedRead> immediate_completions_;
   uint64_t next_id_ = 1;

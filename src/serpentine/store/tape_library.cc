@@ -28,7 +28,7 @@ TapeLibrary::TapeLibrary(const tape::TapeParams& params, int cartridges,
     models_.push_back(std::make_unique<tape::Dlt4000LocateModel>(
         tape::TapeGeometry::Generate(params, first_seed + i), timings));
   }
-  bays_.resize(drives);
+  bays_ = std::vector<DriveBay>(drives);
 }
 
 TapeLibrary::TapeLibrary(
@@ -37,7 +37,7 @@ TapeLibrary::TapeLibrary(
   SERPENTINE_CHECK_GT(num_cartridges(), 0);
   SERPENTINE_CHECK_GT(drives, 0);
   for (const auto& m : models_) SERPENTINE_CHECK(m != nullptr);
-  bays_.resize(drives);
+  bays_ = std::vector<DriveBay>(drives);
 }
 
 const tape::LocateModel& TapeLibrary::model(int tape) const {
@@ -183,7 +183,7 @@ serpentine::Status TapeLibrary::Mount(int d, int tape) {
     }
     Spend(b, kRobotExchangeSeconds + kLoadSeconds);
     b.mounted = tape;
-    b.head = std::make_unique<drive::ModelDrive>(*models_[tape]);
+    b.head = std::make_unique<Head>(*models_[tape], &b);
     ++total_mounts_;
     ReleaseRobot(b);
     if (mount_breaker_ != nullptr) {
@@ -207,9 +207,9 @@ serpentine::Status TapeLibrary::Unmount(int d) {
   double unmount_start = b.clock_seconds;
   int tape = b.mounted;
   // Single-reel cartridges must rewind to eject (paper footnote 5). The
-  // rewind is drive-local; only the unload + slot return occupies the
-  // robot.
-  Spend(b, b.head->Rewind().times.rewind_seconds);
+  // rewind is drive-local, and the head charges it; only the unload +
+  // slot return occupies the robot.
+  b.head->Rewind();
   WaitForRobot(b);
   Spend(b, kUnloadSeconds + kRobotExchangeSeconds);
   ReleaseRobot(b);
@@ -220,64 +220,6 @@ serpentine::Status TapeLibrary::Unmount(int d) {
                      "unmount:" + std::to_string(tape), unmount_start,
                      b.clock_seconds);
   return OkStatus();
-}
-
-serpentine::StatusOr<double> TapeLibrary::LocateTo(int d,
-                                                   tape::SegmentId segment) {
-  SERPENTINE_RETURN_IF_ERROR(AnnotateStatus(RequireMounted(d), "LocateTo"));
-  DriveBay& b = bay(d);
-  const auto& model = *models_[b.mounted];
-  if (segment < 0 || segment >= model.geometry().total_segments()) {
-    return OutOfRangeError(
-        "LocateTo: target segment " + std::to_string(segment) +
-        " off tape " + std::to_string(b.mounted) + " (capacity " +
-        std::to_string(model.geometry().total_segments()) + ")");
-  }
-  double t = b.head->Locate(segment).times.locate_seconds;
-  Spend(b, t);
-  return t;
-}
-
-serpentine::StatusOr<double> TapeLibrary::ReadForward(int d, int64_t count) {
-  SERPENTINE_RETURN_IF_ERROR(AnnotateStatus(RequireMounted(d), "ReadForward"));
-  if (count <= 0) {
-    return InvalidArgumentError("ReadForward: count must be positive, got " +
-                                std::to_string(count));
-  }
-  DriveBay& b = bay(d);
-  const auto& model = *models_[b.mounted];
-  tape::SegmentId head = b.head->Position();
-  tape::SegmentId last = head + count - 1;
-  if (last >= model.geometry().total_segments()) {
-    return OutOfRangeError(
-        "ReadForward: " + std::to_string(count) + " segments from " +
-        std::to_string(head) + " run off the end of tape " +
-        std::to_string(b.mounted) + " (capacity " +
-        std::to_string(model.geometry().total_segments()) + ")");
-  }
-  // The drive clamps the head just past the span (sched::OutPosition rule).
-  double t = b.head->ReadSegments(head, last).times.read_seconds;
-  Spend(b, t);
-  return t;
-}
-
-serpentine::StatusOr<double> TapeLibrary::WriteForward(int d, int64_t count) {
-  // Streaming writes move the transport exactly like streaming reads; the
-  // drive formats as it goes.
-  SERPENTINE_RETURN_IF_ERROR(
-      AnnotateStatus(RequireMounted(d), "WriteForward"));
-  return ReadForward(d, count);
-}
-
-serpentine::StatusOr<double> TapeLibrary::FullScan(int d) {
-  SERPENTINE_RETURN_IF_ERROR(AnnotateStatus(RequireMounted(d), "FullScan"));
-  DriveBay& b = bay(d);
-  // The leading locate leaves the head at BOT, which is also where the
-  // read-and-rewind pass ends, so the drive position stays consistent.
-  double t = b.head->Locate(0).times.locate_seconds;
-  t += models_[b.mounted]->FullReadAndRewindSeconds();
-  Spend(b, t);
-  return t;
 }
 
 void TapeLibrary::Idle(int d, double seconds) {

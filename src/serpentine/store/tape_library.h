@@ -20,7 +20,6 @@
 #include "serpentine/tape/locate_model.h"
 #include "serpentine/util/retry.h"
 #include "serpentine/util/status.h"
-#include "serpentine/util/statusor.h"
 
 namespace serpentine::store {
 
@@ -28,11 +27,13 @@ namespace serpentine::store {
 /// Exchanges take a small DLT autoloader's times: 15 s of robot motion
 /// per cartridge move, 40 s to load and 20 s to unload.
 ///
-/// All motion (mounting, locating, reading, rewinding) advances the acting
-/// drive's clock according to each cartridge's locate-time model. The
-/// single-drive methods (no drive index) operate on drive 0, preserving
-/// the historical one-drive API; a library constructed with `drives == 1`
-/// behaves exactly as it always has.
+/// All motion advances the acting drive's clock according to each
+/// cartridge's locate-time model: Mount and Unmount charge the exchange
+/// and the rewind, and every op through mounted_drive() charges its own
+/// time. A bay's clock is therefore its exchanges, plus its head's ops,
+/// plus Idle(). The single-drive methods (no drive index) operate on
+/// drive 0, preserving the historical one-drive API; a library constructed
+/// with `drives == 1` behaves exactly as it always has.
 class TapeLibrary {
  public:
   /// Builds a library of `cartridges` tapes in one geometry family, each
@@ -58,9 +59,9 @@ class TapeLibrary {
 
   /// Drive `d`'s mounted cartridge as a stateful drive::Drive (head
   /// position and per-op timing), or nullptr when that bay is empty.
-  /// Callers may stack decorators on it or hand it to an executor; its
-  /// motion does NOT advance the library clock — use the LocateTo /
-  /// ReadForward wrappers for clocked operations.
+  /// Callers may stack decorators on it or hand it to an executor. Each
+  /// op adds its time to bay `d`'s clock and busy time. The head CHECKs
+  /// its arguments (a segment on the tape), so callers validate them.
   drive::Drive* mounted_drive(int d) { return bays_[CheckDrive(d)].head.get(); }
   drive::Drive* mounted_drive() { return mounted_drive(0); }
 
@@ -115,33 +116,6 @@ class TapeLibrary {
   serpentine::Status Unmount(int d);
   serpentine::Status Unmount() { return Unmount(0); }
 
-  /// Positions drive `d`'s head at `segment` on its mounted tape (locate).
-  /// Returns the seconds the operation took.
-  serpentine::StatusOr<double> LocateTo(int d, tape::SegmentId segment);
-  serpentine::StatusOr<double> LocateTo(tape::SegmentId segment) {
-    return LocateTo(0, segment);
-  }
-
-  /// Reads `count` segments from drive `d`'s head position; the head ends
-  /// just past the span. Returns the seconds taken.
-  serpentine::StatusOr<double> ReadForward(int d, int64_t count);
-  serpentine::StatusOr<double> ReadForward(int64_t count) {
-    return ReadForward(0, count);
-  }
-
-  /// Writes `count` segments at drive `d`'s head position (sequential
-  /// streaming, same transport speed as reading). Returns the seconds
-  /// taken.
-  serpentine::StatusOr<double> WriteForward(int d, int64_t count);
-  serpentine::StatusOr<double> WriteForward(int64_t count) {
-    return WriteForward(0, count);
-  }
-
-  /// Reads drive `d`'s entire mounted tape sequentially and rewinds (the
-  /// READ baseline). Returns the seconds taken.
-  serpentine::StatusOr<double> FullScan(int d);
-  serpentine::StatusOr<double> FullScan() { return FullScan(0); }
-
   /// Advances drive `d`'s clock without drive activity (idle / host time).
   void Idle(int d, double seconds);
   void Idle(double seconds) { Idle(0, seconds); }
@@ -161,13 +135,44 @@ class TapeLibrary {
   double busy_seconds() const;
 
  private:
+  /// Neither copyable nor movable: a mounted Head points at its bay.
   struct DriveBay {
+    DriveBay() = default;
+    DriveBay(const DriveBay&) = delete;
+    DriveBay& operator=(const DriveBay&) = delete;
+
     int mounted = -1;
     /// Head of the mounted cartridge; null while unmounted. Fresh mounts
     /// start at BOT (single-reel cartridges eject rewound).
     std::unique_ptr<drive::ModelDrive> head;
     double clock_seconds = 0.0;
     double busy_seconds = 0.0;
+  };
+
+  /// A bay's head: a ModelDrive that adds each op's time to its bay's
+  /// clock and busy time. Moving the library moves bays_'s buffer, not
+  /// the bays, so the pointer survives the library being moved.
+  class Head : public drive::ModelDrive {
+   public:
+    Head(const tape::LocateModel& model, DriveBay* bay)
+        : ModelDrive(model), bay_(bay) {}
+
+    drive::OpResult Locate(tape::SegmentId dst) override {
+      return Charge(ModelDrive::Locate(dst));
+    }
+    drive::OpResult ReadSegments(tape::SegmentId from,
+                                 tape::SegmentId to) override {
+      return Charge(ModelDrive::ReadSegments(from, to));
+    }
+    drive::OpResult Rewind() override { return Charge(ModelDrive::Rewind()); }
+
+   private:
+    drive::OpResult Charge(drive::OpResult op) {
+      Spend(*bay_, op.times.total());
+      return op;
+    }
+
+    DriveBay* bay_;
   };
 
   int CheckDrive(int d) const;
@@ -177,7 +182,7 @@ class TapeLibrary {
   serpentine::Status ValidateTape(int tape) const;
   /// Drive currently holding cartridge `tape`, or -1.
   int HolderOf(int tape) const;
-  void Spend(DriveBay& b, double seconds) {
+  static void Spend(DriveBay& b, double seconds) {
     b.clock_seconds += seconds;
     b.busy_seconds += seconds;
   }

@@ -182,6 +182,35 @@ TEST(CatalogTest, RunsOutOfCapacityWithResourceExhausted) {
       StatusCode::kResourceExhausted);
 }
 
+TEST(CatalogTest, RejectsCapacitiesThatOverflowALibrary) {
+  // Two 2^62-segment cartridges sum to 2^63, one past INT64_MAX: the
+  // library's total must be refused before anything sums it.
+  FleetTopology t = UniformTopology(1, 2, int64_t{1} << 62);
+  EXPECT_EQ(ValidateCapacities(t).code(), StatusCode::kInvalidArgument);
+  Status s = Catalog::Build(t, 1, PlacementOptions{}).status();
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(s.message().find("library 0"), std::string::npos)
+      << s.ToString();
+}
+
+TEST(CatalogTest, RejectsCapacitiesThatOverflowTheFleet) {
+  // Every library fits, and so do the first two together; only the third
+  // takes the fleet total past INT64_MAX.
+  FleetTopology t;
+  t.capacity = {{int64_t{1} << 62}, {int64_t{1} << 61}, {int64_t{1} << 62}};
+  EXPECT_EQ(ValidateCapacities(t).code(), StatusCode::kInvalidArgument);
+  Status s = Catalog::Build(t, 1, PlacementOptions{}).status();
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(s.message().find("fleet"), std::string::npos) << s.ToString();
+  EXPECT_NE(s.message().find("library 2"), std::string::npos)
+      << s.ToString();
+
+  t.capacity.pop_back();
+  EXPECT_TRUE(ValidateCapacities(t).ok());
+  EXPECT_EQ(t.total_segments(), int64_t{3} << 61);
+  EXPECT_TRUE(Catalog::Build(t, 1, PlacementOptions{}).ok());
+}
+
 // Holds every replica(), replicas() and placed_per_library() of the
 // catalog to the placement loop in catalog_reference.h. Returns nothing
 // when the reference rejects the input, and otherwise whether it placed

@@ -1,8 +1,9 @@
 // Multi-drive TapeLibrary: N drives share one robot arm. Each drive keeps
 // its own virtual clock and busy time; cartridge exchanges serialize on
 // the robot (waiting stalls the clock but is not busy time), a cartridge
-// can live in only one bay at a time, and a 1-drive library behaves
-// exactly as the historical single-drive API.
+// can live in only one bay at a time, every op through a bay's mounted
+// drive charges that bay alone, and a 1-drive library behaves exactly as
+// the historical single-drive API.
 #include "serpentine/store/tape_library.h"
 
 #include <gtest/gtest.h>
@@ -12,7 +13,10 @@
 #include <utility>
 #include <vector>
 
+#include "serpentine/sched/scheduler.h"
+#include "serpentine/sim/executor.h"
 #include "serpentine/tape/locate_model.h"
+#include "serpentine/util/lrand48.h"
 
 namespace serpentine::store {
 namespace {
@@ -25,11 +29,18 @@ TapeLibrary MakeLibrary(int drives, int cartridges = 4) {
                      /*first_seed=*/1, drives);
 }
 
+/// Reads `count` segments from drive `d`'s head position.
+void ReadForward(TapeLibrary& library, int d, int64_t count) {
+  drive::Drive* head = library.mounted_drive(d);
+  ASSERT_NE(head, nullptr);
+  head->ReadSegments(head->Position(), head->Position() + count - 1);
+}
+
 TEST(MultiDriveTest, SingleDriveNeverWaitsForTheRobot) {
   TapeLibrary library = MakeLibrary(1);
   for (int i = 0; i < 8; ++i) {
     ASSERT_TRUE(library.Mount(0, i % library.num_cartridges()).ok());
-    ASSERT_TRUE(library.ReadForward(0, 2).ok());
+    ReadForward(library, 0, 2);
   }
   EXPECT_GT(library.robot_exchanges(), 0);
   EXPECT_EQ(library.robot_wait_seconds(), 0.0);
@@ -55,8 +66,8 @@ TEST(MultiDriveTest, DriveClocksAreIndependent) {
   ASSERT_TRUE(library.Mount(0, 0).ok());
   ASSERT_TRUE(library.Mount(1, 1).ok());
   double before = library.now(1);
-  ASSERT_TRUE(library.LocateTo(0, 20000).ok());
-  ASSERT_TRUE(library.ReadForward(0, 16).ok());
+  library.mounted_drive(0)->Locate(20000);
+  ReadForward(library, 0, 16);
   // Only drive 0 moved; drive 1's clock and head are untouched.
   EXPECT_EQ(library.now(1), before);
   EXPECT_EQ(library.head_position(1), 0);
@@ -94,8 +105,11 @@ TEST(MultiDriveTest, PerDriveOperationsValidateTheDriveIndex) {
   TapeLibrary library = MakeLibrary(2);
   // Reads need a mounted cartridge in *that* bay, not just any bay.
   ASSERT_TRUE(library.Mount(0, 0).ok());
-  EXPECT_FALSE(library.ReadForward(1, 1).ok());
-  EXPECT_TRUE(library.ReadForward(0, 1).ok());
+  EXPECT_EQ(library.mounted_drive(1), nullptr);
+  ASSERT_NE(library.mounted_drive(0), nullptr);
+  double idle_bay = library.now(1);
+  ReadForward(library, 0, 1);
+  EXPECT_EQ(library.now(1), idle_bay);
 }
 
 TEST(MultiDriveTest, MixedFamilyModelsDriveSeparateBays) {
@@ -110,14 +124,44 @@ TEST(MultiDriveTest, MixedFamilyModelsDriveSeparateBays) {
   TapeLibrary library(std::move(models), /*drives=*/2);
   ASSERT_TRUE(library.Mount(0, 0).ok());
   ASSERT_TRUE(library.Mount(1, 1).ok());
-  ASSERT_TRUE(library.LocateTo(0, 5000).ok());
-  ASSERT_TRUE(library.LocateTo(1, 5000).ok());
+  library.mounted_drive(0)->Locate(5000);
+  library.mounted_drive(1)->Locate(5000);
   // Distinct seeds, distinct geometry: the same target lands at different
   // virtual times once the robot stall is accounted for.
   EXPECT_EQ(library.head_position(0), 5000);
   EXPECT_EQ(library.head_position(1), 5000);
   EXPECT_GT(library.busy_seconds(0), 0.0);
   EXPECT_GT(library.busy_seconds(1), 0.0);
+}
+
+TEST(MultiDriveTest, ExecutingOnAMountedDriveChargesOnlyItsBay) {
+  TapeLibrary library = MakeLibrary(2);
+  ASSERT_TRUE(library.Mount(0, 0).ok());
+  ASSERT_TRUE(library.Mount(1, 1).ok());
+  const tape::LocateModel& model = library.model(1);
+  Lrand48 rng(5);
+  std::vector<sched::Request> batch;
+  for (int i = 0; i < 24; ++i) {
+    batch.push_back({rng.NextBounded(model.geometry().total_segments() - 8),
+                     1 + static_cast<int64_t>(rng.NextBounded(8))});
+  }
+  auto schedule = sched::BuildSchedule(model, library.head_position(1),
+                                       batch, sched::Algorithm::kLoss);
+  ASSERT_TRUE(schedule.ok());
+  double now0 = library.now(0), busy0 = library.busy_seconds(0);
+  double now1 = library.now(1), busy1 = library.busy_seconds(1);
+  sched::EstimateOptions rewind;
+  rewind.rewind_at_end = true;
+  sim::ExecutionResult r =
+      sim::ExecuteSchedule(*library.mounted_drive(1), *schedule, rewind);
+  ASSERT_GT(r.total_seconds, 0.0);
+  EXPECT_GT(r.rewind_seconds, 0.0);
+  EXPECT_NEAR(library.now(1) - now1, r.total_seconds,
+              1e-9 * r.total_seconds);
+  EXPECT_NEAR(library.busy_seconds(1) - busy1, r.total_seconds,
+              1e-9 * r.total_seconds);
+  EXPECT_EQ(library.now(0), now0);
+  EXPECT_EQ(library.busy_seconds(0), busy0);
 }
 
 TEST(MultiDriveTest, RobotWaitGrowsWithContention) {
@@ -132,7 +176,7 @@ TEST(MultiDriveTest, RobotWaitGrowsWithContention) {
       if (library.mounted(d) == tape || !library.Mount(d, tape).ok()) {
         continue;  // held in another bay this round
       }
-      ASSERT_TRUE(library.ReadForward(d, 2).ok());
+      ReadForward(library, d, 2);
     }
     (drives == 2 ? wait_two : wait_four) = library.robot_wait_seconds();
   }

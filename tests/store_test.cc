@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 #include "serpentine/store/segment_cache.h"
 #include "serpentine/store/tape_library.h"
 #include "serpentine/util/lrand48.h"
@@ -76,8 +79,7 @@ TEST_F(TapeLibraryTest, StartsUnmounted) {
   EXPECT_EQ(library_.mounted(), -1);
   EXPECT_EQ(library_.num_cartridges(), 3);
   EXPECT_DOUBLE_EQ(library_.now(), 0.0);
-  EXPECT_FALSE(library_.LocateTo(0).ok());
-  EXPECT_FALSE(library_.ReadForward(1).ok());
+  EXPECT_EQ(library_.mounted_drive(), nullptr);
   EXPECT_FALSE(library_.Unmount().ok());
 }
 
@@ -99,7 +101,7 @@ TEST_F(TapeLibraryTest, RemountSameTapeIsFree) {
 
 TEST_F(TapeLibraryTest, SwitchingTapesRewindsFirst) {
   ASSERT_TRUE(library_.Mount(0).ok());
-  ASSERT_TRUE(library_.LocateTo(300000).ok());
+  library_.mounted_drive()->Locate(300000);
   double positioned = library_.now();
   ASSERT_TRUE(library_.Mount(1).ok());
   // Unmount must pay the rewind from deep in the tape (tens of seconds)
@@ -112,32 +114,29 @@ TEST_F(TapeLibraryTest, SwitchingTapesRewindsFirst) {
 
 TEST_F(TapeLibraryTest, LocateAndReadAdvanceHeadAndClock) {
   ASSERT_TRUE(library_.Mount(0).ok());
+  drive::Drive* head = library_.mounted_drive();
+  ASSERT_NE(head, nullptr);
   double before = library_.now();
-  auto locate = library_.LocateTo(5000);
-  ASSERT_TRUE(locate.ok());
-  EXPECT_GT(locate.value(), 0.0);
+  double busy_before = library_.busy_seconds();
+  double locate = head->Locate(5000).times.locate_seconds;
+  EXPECT_GT(locate, 0.0);
   EXPECT_EQ(library_.head_position(), 5000);
-  auto read = library_.ReadForward(100);
-  ASSERT_TRUE(read.ok());
+  double read = head->ReadSegments(5000, 5099).times.read_seconds;
   EXPECT_EQ(library_.head_position(), 5100);
-  EXPECT_NEAR(library_.now() - before, locate.value() + read.value(), 1e-9);
-}
-
-TEST_F(TapeLibraryTest, RejectsOutOfRangeOperations) {
-  ASSERT_TRUE(library_.Mount(0).ok());
-  SegmentId total = library_.model(0).geometry().total_segments();
-  EXPECT_FALSE(library_.LocateTo(total).ok());
-  EXPECT_FALSE(library_.LocateTo(-1).ok());
-  ASSERT_TRUE(library_.LocateTo(total - 5).ok());
-  EXPECT_FALSE(library_.ReadForward(100).ok());
-  EXPECT_FALSE(library_.ReadForward(0).ok());
+  EXPECT_NEAR(library_.now() - before, locate + read, 1e-9);
+  EXPECT_NEAR(library_.busy_seconds() - busy_before, locate + read, 1e-9);
 }
 
 TEST_F(TapeLibraryTest, FullScanTakesAboutFourHours) {
   ASSERT_TRUE(library_.Mount(0).ok());
-  auto t = library_.FullScan();
-  ASSERT_TRUE(t.ok());
-  EXPECT_NEAR(t.value(), 14000.0, 700.0);
+  drive::Drive* head = library_.mounted_drive();
+  ASSERT_NE(head, nullptr);
+  SegmentId total = library_.model(0).geometry().total_segments();
+  double before = library_.now();
+  head->Locate(0);
+  head->ScanSegments(0, total - 1);
+  head->Rewind();
+  EXPECT_NEAR(library_.now() - before, 14000.0, 700.0);
   EXPECT_EQ(library_.head_position(), 0);
 }
 
@@ -163,24 +162,12 @@ TEST_F(TapeLibraryTest, ErrorsNameTheOperationAndValues) {
   EXPECT_NE(bad_tape.message().find("[0, 3)"), std::string::npos);
   EXPECT_EQ(library_.Mount(-1).code(), StatusCode::kInvalidArgument);
 
-  Status unmounted = library_.LocateTo(100).status();
+  Status unmounted = library_.Unmount();
   EXPECT_EQ(unmounted.code(), StatusCode::kFailedPrecondition);
-  EXPECT_NE(unmounted.message().find("LocateTo"), std::string::npos);
+  EXPECT_NE(unmounted.message().find("Unmount"), std::string::npos);
   EXPECT_NE(unmounted.message().find("no cartridge mounted"),
             std::string::npos);
-  EXPECT_NE(library_.Unmount().message().find("Unmount"), std::string::npos);
-  EXPECT_NE(library_.WriteForward(5).status().message().find("WriteForward"),
-            std::string::npos);
-
-  ASSERT_TRUE(library_.Mount(0).ok());
-  SegmentId total = library_.model(0).geometry().total_segments();
-  Status off_tape = library_.LocateTo(total).status();
-  EXPECT_EQ(off_tape.code(), StatusCode::kOutOfRange);
-  EXPECT_NE(off_tape.message().find(std::to_string(total)),
-            std::string::npos);
-  Status bad_count = library_.ReadForward(0).status();
-  EXPECT_EQ(bad_count.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(bad_count.message().find("ReadForward"), std::string::npos);
+  EXPECT_NE(unmounted.message().find("3 cartridges"), std::string::npos);
 }
 
 TEST_F(TapeLibraryTest, MountRetriesUnderRobotFaults) {
@@ -311,7 +298,41 @@ TEST(TertiaryStoreTest, ValidatesSubmissions) {
   SegmentId total =
       store.library().model(0).geometry().total_segments();
   EXPECT_FALSE(store.SubmitRead(0, total - 1, 2).ok());
+  EXPECT_FALSE(store.SubmitRead(0, total, 1).ok());
+  // segment + count overflows int64 here; the span must still be refused
+  // rather than reach the scheduler.
+  ASSERT_EQ(store.SubmitRead(0, 5, std::numeric_limits<int64_t>::max())
+                .status()
+                .code(),
+            StatusCode::kOutOfRange);
   EXPECT_TRUE(store.SubmitRead(0, total - 1, 1).ok());
+  EXPECT_TRUE(store.Flush().ok());
+}
+
+TEST(TertiaryStoreTest, DuplicateReadsAnswerOldestFirst) {
+  // Two reads of one span, submitted 100 s apart around a third read: the
+  // batch reads the span twice, and the earlier read of it answers the
+  // older request.
+  StoreOptions options;
+  options.cache_segments = 0;
+  TertiaryStore store = MakeStore(options, 1);
+  auto older = store.SubmitRead(0, 40000, 4);
+  store.library().Idle(100.0);
+  ASSERT_TRUE(store.SubmitRead(0, 90000).ok());
+  store.library().Idle(100.0);
+  auto newer = store.SubmitRead(0, 40000, 4);
+  ASSERT_TRUE(older.ok());
+  ASSERT_TRUE(newer.ok());
+  auto report = store.Flush();
+  ASSERT_TRUE(report.ok());
+  ASSERT_EQ(report->completed.size(), 3u);
+  double older_done = 0.0, newer_done = 0.0;
+  for (const CompletedRead& c : report->completed) {
+    if (c.id == *older) older_done = c.complete_seconds;
+    if (c.id == *newer) newer_done = c.complete_seconds;
+  }
+  EXPECT_GT(older_done, 0.0);
+  EXPECT_LT(older_done, newer_done);
 }
 
 TEST(TertiaryStoreTest, FlushCompletesAllPending) {
@@ -453,77 +474,6 @@ TEST(TertiaryStoreTest, ReadAlgorithmReadsTheWholeTape) {
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->full_scans, 1);
   EXPECT_EQ(report->completed.size(), 40u);
-}
-
-// ---------------------------------------------------------------------------
-// Append / end-of-data (the load path).
-// ---------------------------------------------------------------------------
-
-TEST(TertiaryStoreAppendTest, PrewrittenCartridgesAreFull) {
-  TertiaryStore store = MakeStore();
-  EXPECT_EQ(store.end_of_data(0),
-            store.library().model(0).geometry().total_segments());
-  // Appends cannot fit on a full cartridge.
-  EXPECT_EQ(store.Append(0, 1).status().code(),
-            StatusCode::kResourceExhausted);
-}
-
-TEST(TertiaryStoreAppendTest, EmptyCartridgeRejectsReadsUntilLoaded) {
-  StoreOptions options;
-  options.cartridges_start_empty = true;
-  TertiaryStore store = MakeStore(options, 1);
-  EXPECT_EQ(store.end_of_data(0), 0);
-  EXPECT_FALSE(store.SubmitRead(0, 0).ok());
-
-  auto first = store.Append(0, 1000);
-  ASSERT_TRUE(first.ok());
-  EXPECT_EQ(first.value(), 0);
-  EXPECT_EQ(store.end_of_data(0), 1000);
-
-  EXPECT_TRUE(store.SubmitRead(0, 999).ok());
-  EXPECT_FALSE(store.SubmitRead(0, 1000).ok());
-  auto report = store.Flush();
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report->completed.size(), 1u);
-}
-
-TEST(TertiaryStoreAppendTest, AppendsAreContiguous) {
-  StoreOptions options;
-  options.cartridges_start_empty = true;
-  TertiaryStore store = MakeStore(options, 2);
-  EXPECT_EQ(store.Append(0, 500).value(), 0);
-  EXPECT_EQ(store.Append(0, 300).value(), 500);
-  EXPECT_EQ(store.Append(1, 100).value(), 0);
-  EXPECT_EQ(store.Append(0, 200).value(), 800);
-  EXPECT_EQ(store.end_of_data(0), 1000);
-  EXPECT_EQ(store.end_of_data(1), 100);
-}
-
-TEST(TertiaryStoreAppendTest, AppendAdvancesClockByStreamingTime) {
-  StoreOptions options;
-  options.cartridges_start_empty = true;
-  TertiaryStore store = MakeStore(options, 1);
-  ASSERT_TRUE(store.Append(0, 100).ok());
-  double after_first = store.library().now();
-  // ~704 segments per 15.5 s section: 100 segments ≈ 2.2 s of streaming
-  // (plus the initial mount).
-  ASSERT_TRUE(store.Append(0, 704).ok());
-  EXPECT_NEAR(store.library().now() - after_first, 15.5, 3.0);
-}
-
-TEST(TertiaryStoreAppendTest, ValidatesArguments) {
-  StoreOptions options;
-  options.cartridges_start_empty = true;
-  TertiaryStore store = MakeStore(options, 1);
-  EXPECT_FALSE(store.Append(5, 1).ok());
-  EXPECT_FALSE(store.Append(0, 0).ok());
-  EXPECT_FALSE(store.Append(0, -3).ok());
-  tape::SegmentId capacity =
-      store.library().model(0).geometry().total_segments();
-  EXPECT_FALSE(store.Append(0, capacity + 1).ok());
-  EXPECT_TRUE(store.Append(0, capacity).ok());
-  EXPECT_EQ(store.Append(0, 1).status().code(),
-            StatusCode::kResourceExhausted);
 }
 
 }  // namespace
