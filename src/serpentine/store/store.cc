@@ -44,12 +44,12 @@ serpentine::StatusOr<uint64_t> TertiaryStore::SubmitRead(
   }
   if (hit) {
     immediate_completions_.push_back(CompletedRead{
-        id, tape, request, library_.now(), library_.now(), true});
+        id, tape, request, library_.now(0), library_.now(0), true});
     return id;
   }
 
   pending_by_tape_[tape].push_back(
-      PendingRead{id, request, library_.now()});
+      PendingRead{id, request, library_.now(0)});
   return id;
 }
 
@@ -64,7 +64,7 @@ serpentine::StatusOr<FlushReport> TertiaryStore::Flush() {
   report.completed = std::move(immediate_completions_);
   immediate_completions_.clear();
 
-  double start = library_.now();
+  double start = library_.now(0);
 
   // Mount order: most pending requests first, so the biggest batches get
   // the earliest service (cf. mount scheduling in tertiary-memory DBMS
@@ -83,7 +83,7 @@ serpentine::StatusOr<FlushReport> TertiaryStore::Flush() {
   }
   pending_by_tape_.clear();
 
-  report.elapsed_seconds = library_.now() - start;
+  report.elapsed_seconds = library_.now(0) - start;
   double sum = 0.0;
   for (const CompletedRead& c : report.completed) {
     sum += c.response_seconds();
@@ -131,8 +131,8 @@ serpentine::Status TertiaryStore::FlushTape(int tape,
     waiting[{batch[i].request.segment, batch[i].request.count}].push_back(i);
   }
 
-  // The mounted head charges each op to the library clock, so a walk's
-  // request completes at the clock after its read. A full pass starts at
+  // The mounted head charges each op to bay 0's clock, so a walk's
+  // request completes at that clock after its read. A full pass starts at
   // BOT, and a request completes when the pass reads its last segment.
   // The library's heads never fault, so every request is served.
   drive::Drive& head = *library_.mounted_drive();
@@ -140,7 +140,7 @@ serpentine::Status TertiaryStore::FlushTape(int tape,
   if (schedule.full_tape_scan) {
     ++report->full_scans;
     head.Locate(0);
-    pass_start = library_.now();
+    pass_start = library_.now(0);
   }
   sim::RecoveringExecutor(head, model)
       .Execute(schedule, [&](const sched::Request& r, double at,
@@ -150,7 +150,7 @@ serpentine::Status TertiaryStore::FlushTape(int tape,
         const PendingRead& p = batch[ids.back()];
         ids.pop_back();
         double done =
-            schedule.full_tape_scan ? pass_start + at : library_.now();
+            schedule.full_tape_scan ? pass_start + at : library_.now(0);
         report->completed.push_back(CompletedRead{
             p.id, tape, p.request, p.submit_seconds, done, false});
         for (int64_t i = 0; i < r.count && i < 64; ++i) {

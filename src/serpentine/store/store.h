@@ -62,8 +62,9 @@ struct FlushReport {
 ///
 /// Usage: SubmitRead() any number of requests (optionally interleaved with
 /// library().Idle() to model arrival times), then Flush() to mount tapes,
-/// schedule, and execute. Completion times are on the library's virtual
-/// clock.
+/// schedule, and execute. Every flush runs on drive 0, so submissions,
+/// completions and elapsed time are on drive 0's virtual clock,
+/// library().now(0), however far another bay's clock has run.
 class TertiaryStore {
  public:
   TertiaryStore(StoreOptions options, TapeLibrary library);

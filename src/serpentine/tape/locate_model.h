@@ -22,8 +22,8 @@
 // The rule is written once: Dlt4000LocateModel::EndpointOf decodes each
 // end of a locate, ReadsForward is the case-1 test, and SecondsBetween adds
 // up the charges. LocateSeconds, the case analysis behind Classify and
-// ExplainLocate, and tsp::LocateCostSoA's per-edge kernel all build on
-// those three.
+// ExplainLocate, and tsp::LocateCostSoA's per-edge and row kernels all
+// build on those three.
 #ifndef SERPENTINE_TAPE_LOCATE_MODEL_H_
 #define SERPENTINE_TAPE_LOCATE_MODEL_H_
 
@@ -208,27 +208,33 @@ inline Dlt4000LocateModel::Endpoint Dlt4000LocateModel::EndpointOf(
   return e;
 }
 
+// No early return, so tsp::LocateCostSoA prices a row or column in one
+// straight loop: both legs are computed and the case-1 test picks one. A
+// charge that does not apply is added as -0.0, which leaves any sum
+// unchanged bit for bit (x + -0.0 == x, -0.0 included; + 0.0 would turn
+// -0.0 into +0.0), so every result equals the early-return evaluation.
+// The reversal charge, a coin flip on random pairs, is a table load, which
+// never jumps; GCC compiles `reversal ? x : -0.0` to a jump. The other
+// tests seldom flip along a row of cities sorted by segment, and GCC's
+// jumps for them measured faster than table loads (docs/performance.md).
 inline double Dlt4000LocateModel::SecondsBetween(const Endpoint& from,
                                                  const Endpoint& to) const {
-  if (from.segment == to.segment) return 0.0;
-  if (ReadsForward(from, to)) {
-    return std::abs(to.position - from.position) *
-           timings_.read_seconds_per_section;
-  }
+  const double read_forward =
+      std::abs(to.position - from.position) * timings_.read_seconds_per_section;
   const double scan_distance = std::abs(to.key_point - from.position);
-  const int from_dir = from.forward ? +1 : -1;
-  const int scan_dir = to.key_point > from.position   ? +1
-                       : to.key_point < from.position ? -1
-                                                      : from_dir;
+  // The scan leg reverses the transport when it runs against the source
+  // track's reading direction; a zero-length scan never does.
+  const bool reversal = from.forward ? to.key_point < from.position
+                                     : to.key_point > from.position;
   double t =
       std::abs(to.position - to.key_point) * timings_.read_seconds_per_section;
   t += timings_.scan_overhead_seconds +
        scan_distance * timings_.scan_seconds_per_section;
-  if (from.track != to.track) t += timings_.track_switch_seconds;
-  if (scan_distance > 0.0 && scan_dir != from_dir) {
-    t += timings_.reversal_penalty_seconds;
-  }
-  return t;
+  t += from.track != to.track ? timings_.track_switch_seconds : -0.0;
+  const double reversal_charge[2] = {-0.0, timings_.reversal_penalty_seconds};
+  t += reversal_charge[reversal];
+  const double seconds = ReadsForward(from, to) ? read_forward : t;
+  return from.segment == to.segment ? 0.0 : seconds;
 }
 
 /// Helical-scan tape model (paper §2): logical block numbers correspond

@@ -50,6 +50,16 @@ class CostMatrix {
     return w_[static_cast<size_t>(i) * n_ + j];
   }
 
+  /// cost(i, to[k]) into out[k] for each k < count (LossSolver's row scans).
+  void RowCosts(int i, const int* to, int count, double* out) const {
+    const double* row = &w_[static_cast<size_t>(i) * n_];
+    for (int k = 0; k < count; ++k) out[k] = row[to[k]];
+  }
+  /// cost(from[k], j) into out[k] for each k < count (column scans).
+  void ColumnCosts(const int* from, int count, int j, double* out) const {
+    for (int k = 0; k < count; ++k) out[k] = cost(from[k], j);
+  }
+
   void set(int i, int j, double v) {
     w_[static_cast<size_t>(i) * n_ + j] = v;
   }

@@ -9,9 +9,11 @@
 // With the Dlt4000 model, each city's in- and out-position is decoded once
 // into a tape::Dlt4000LocateModel::Endpoint, and an edge is the model's own
 // rule, SecondsBetween, over two of them: the same arithmetic as
-// LocateSeconds, without the per-edge decode. For any other model,
-// LocateSeconds(i, j) asks the model at most once per distinct (from, to)
-// segment pair and remembers the answer; Price(i, j) asks every time.
+// LocateSeconds, without the per-edge decode. RowCosts and ColumnCosts
+// price a whole row or column of edges in one inline loop over that rule,
+// the calls LossSolver makes. For any other model, LocateSeconds(i, j)
+// asks the model at most once per distinct (from, to) segment pair and
+// remembers the answer; Price(i, j) asks every time.
 #ifndef SERPENTINE_TSP_LOCATE_COST_H_
 #define SERPENTINE_TSP_LOCATE_COST_H_
 
@@ -65,9 +67,40 @@ class LocateCostSoA {
   }
 
   /// TSP path semantics, matching CostMatrix::Build: self-loops and edges
-  /// into the start city are forbidden. Defined out of line: inlined into
-  /// LossSolver's rescans, the rule measured ~15% slower at 129 cities.
+  /// into the start city are forbidden. Defined out of line; LossSolver
+  /// prices through RowCosts and ColumnCosts instead.
   double cost(int i, int j) const;
+
+  /// cost(i, to[k]) into out[k] for each k < count: row i over the listed
+  /// columns, which LossSolver's seed and row scans ask for in one call.
+  /// On the kernel this is one inline loop over SecondsBetween.
+  void RowCosts(int i, const int* to, int count, double* out) const {
+    if (dlt_ == nullptr) {
+      for (int k = 0; k < count; ++k) out[k] = cost(i, to[k]);
+      return;
+    }
+    const tape::Dlt4000LocateModel::Endpoint& from = out_[i];
+    for (int k = 0; k < count; ++k) {
+      const int j = to[k];
+      const double seconds = dlt_->SecondsBetween(from, in_[j]);
+      out[k] = j == i || j == 0 ? kInfiniteCost : seconds;
+    }
+  }
+
+  /// cost(from[k], j) into out[k] for each k < count: column j over the
+  /// listed rows, for LossSolver's column scans.
+  void ColumnCosts(const int* from, int count, int j, double* out) const {
+    if (dlt_ == nullptr) {
+      for (int k = 0; k < count; ++k) out[k] = cost(from[k], j);
+      return;
+    }
+    const tape::Dlt4000LocateModel::Endpoint& to = in_[j];
+    for (int k = 0; k < count; ++k) {
+      const int i = from[k];
+      const double seconds = dlt_->SecondsBetween(out_[i], to);
+      out[k] = i == j || j == 0 ? kInfiniteCost : seconds;
+    }
+  }
 
  private:
   /// The fallback's memo lookup, asking the model on a miss.

@@ -28,6 +28,13 @@ class DenseCosts {
   double cost(int i, int j) const {
     return w_[static_cast<size_t>(i) * n_ + j];
   }
+  void RowCosts(int i, const int* to, int count, double* out) const {
+    const double* row = w_ + static_cast<size_t>(i) * n_;
+    for (int k = 0; k < count; ++k) out[k] = row[to[k]];
+  }
+  void ColumnCosts(const int* from, int count, int j, double* out) const {
+    for (int k = 0; k < count; ++k) out[k] = cost(from[k], j);
+  }
 
  private:
   int n_;
@@ -48,7 +55,8 @@ std::vector<int> SolveLossPathWithStats(const CostMatrix& m,
 std::vector<int> SolveLossPath(const LocateCostSoA& costs, LossStats* stats) {
   if (costs.size() <= kDenseLossMaxCities) {
     thread_local std::vector<double> storage;
-    return SolveLossPathOver(DenseCosts(costs, storage), stats);
+    return SolveLossPathOver<kDenseLossReserveDepth>(
+        DenseCosts(costs, storage), stats);
   }
   // Only the kernel prices lazily: a generic model is asked for each edge
   // exactly once, as a dense matrix asks it.

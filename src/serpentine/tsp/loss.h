@@ -13,11 +13,13 @@
 namespace serpentine::tsp {
 
 /// Builds a Hamiltonian path over all cities starting at city 0 using the
-/// LOSS rule. Every edge is priced once to seed each row's and column's
-/// two cheapest edges. After that, a commit rescans, in O(n) each, only the
-/// caches that held an edge the commit made unavailable (typically a
-/// handful), and picks the next edge in O(log n). O(n²) time in all, with
-/// O(n) extra memory.
+/// LOSS rule. Every edge is priced once, a row at a time, to seed each
+/// row's and column's reserve of its cheapest edges (loss_solver.h). After
+/// that, a commit refills only the slots that watched an edge the commit
+/// made unavailable (typically a handful), each from its reserve in O(1)
+/// or, when the reserve runs short, by an O(n) scan of its row or column,
+/// and picks the next edge in O(log n). At the paper's 1,025 cities about
+/// one refill in seven scans. O(n²) time in all, with O(n) extra memory.
 std::vector<int> SolveLossPath(const CostMatrix& m);
 
 /// Statistics from a SolveLossPathWithStats run, for the ablation benches.
@@ -28,10 +30,14 @@ struct LossStats {
   /// iteration, because an endpoint was consumed or it has no edge left.
   /// The first iteration counts all 2n-1. This is the number of O(n)
   /// rescans a solver that revalidates every cache on every iteration
-  /// makes. The event-driven solver rescans the same caches, except that
-  /// a cache with no edge left is rescanned once rather than on every
+  /// makes. The event-driven solver refills the same caches, except that
+  /// a cache with no edge left is refilled once rather than on every
   /// iteration.
   int row_rescans = 0;
+  /// O(n) scans of one row or column the event-driven solver actually ran:
+  /// the refills its reserve could not answer. The seed, which prices
+  /// every edge once, is not counted.
+  int full_scans = 0;
 };
 
 /// As SolveLossPath, also reporting work counters.
@@ -44,12 +50,22 @@ class LocateCostSoA;
 /// matrix. Serving batches (at most 64 requests) always fit.
 inline constexpr int kDenseLossMaxCities = 128;
 
+/// Reserve depth (see loss_solver.h) for batches of at most
+/// kDenseLossMaxCities cities: 2 keeps only the two watched edges, so every
+/// refill rereads its row or column from the dense matrix. A row of at
+/// most 128 stored costs is cheaper to reread than a deeper reserve is to
+/// keep: depth 8 ran 10-15 % slower at 30 and 64 requests
+/// (docs/performance.md).
+inline constexpr int kDenseLossReserveDepth = 2;
+
 /// LOSS over a batch's locate costs. Up to kDenseLossMaxCities cities,
 /// every edge is priced once into a per-thread matrix that grows to at most
-/// kDenseLossMaxCities² entries, so rescans read instead of re-pricing.
-/// Above that, the Dlt4000 kernel prices edges on demand, and any other
-/// model still fills an n×n matrix once, in CostMatrix::Build's order. The
-/// same solver runs either way, so paths and stats are identical.
+/// kDenseLossMaxCities² entries, so scans read instead of re-pricing.
+/// Above that, the Dlt4000 kernel prices rows and columns on demand behind
+/// a kLossReserveDepth reserve, and any other model still fills an n×n
+/// matrix once, in CostMatrix::Build's order. The same solver runs either
+/// way, so paths, iterations and row_rescans are identical; full_scans
+/// depends on the reserve depth.
 std::vector<int> SolveLossPath(const LocateCostSoA& costs,
                                LossStats* stats = nullptr);
 

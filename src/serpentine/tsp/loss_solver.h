@@ -5,19 +5,30 @@
 // source like LocateCostSoA that prices edges on demand and never
 // materializes the O(n²) matrix.
 //
-// A cost source must provide:
-//   int size() const;              // number of cities, city 0 = start
-//   double cost(int i, int j) const;  // edge i→j; kInfiniteCost for
-//                                     // self-loops and edges into city 0
+// A cost source must provide, with edge i→j priced as kInfiniteCost for
+// self-loops and edges into city 0:
+//   int size() const;  // number of cities, city 0 = start
+//   // edge i→to[k] into out[k] for k < count: part of one row
+//   void RowCosts(int i, const int* to, int count, double* out) const;
+//   // edge from[k]→j into out[k] for k < count: part of one column
+//   void ColumnCosts(const int* from, int count, int j, double* out) const;
 //
 // The solver is event-driven. Every open row (a city still lacking its
 // out-edge) and every open column (a city other than 0 still lacking its
-// in-edge) caches its two cheapest available edges. A commit u→v makes
+// in-edge) watches its two cheapest available edges. A commit u→v makes
 // exactly three groups of edges unavailable: row u's, column v's, and the
 // one edge from the merged fragment's tail back to its head. So a commit
-// rescans only the caches that held one of those edges, found through
-// watcher lists hung on each cached partner, and a tournament tree replays
-// the matches of the caches that changed instead of scanning all 2n.
+// refills only the slots that watched one of those edges, found through
+// watcher lists hung on each watched partner, and a tournament tree
+// replays the matches of the slots that changed instead of scanning all
+// 2n.
+//
+// A refill rarely scans. Each slot keeps a reserve: the kLossReserveDepth
+// cheapest available edges its last full scan found. Availability only
+// shrinks during a solve, so the reserve entries still available are
+// exactly the cheapest available edges, and a refill takes its first two.
+// Only a full reserve left with fewer than two has to rescan its row or
+// column in O(n); a reserve that was not full held every edge there was.
 #ifndef SERPENTINE_TSP_LOSS_SOLVER_H_
 #define SERPENTINE_TSP_LOSS_SOLVER_H_
 
@@ -34,6 +45,13 @@
 
 namespace serpentine::tsp {
 
+/// How many of its cheapest available edges each open row and column keeps
+/// from its last full scan (see file comment). A deeper reserve scans less
+/// often, but every seed offer and scan maintains a longer list; at the
+/// paper's 1,025-city point 8 cut full scans from ~3,175 to ~434 per solve
+/// (docs/performance.md).
+inline constexpr int kLossReserveDepth = 8;
+
 /// The LOSS committed-edge solver over any cost source (see file comment).
 /// The edge-selection rule, tie-breaks, and cache contents are identical for
 /// every cost source, so dense and lazy runs over equal costs produce
@@ -43,7 +61,7 @@ namespace serpentine::tsp {
 /// in-edge). The winner of each commit is the slot with the largest loss,
 /// then the cheaper best edge, then the lower slot: the order in which a
 /// scan over cities, row before column, meets them.
-template <typename Costs>
+template <typename Costs, int kDepth = kLossReserveDepth>
 class LossSolver {
  public:
   LossSolver(const Costs& m, LossStats* stats)
@@ -51,9 +69,12 @@ class LossSolver {
     // Every O(n) array lives in one allocation, doubles first for alignment.
     const size_t n = n_;
     buffer_ = std::make_unique_for_overwrite<std::byte[]>(
-        sizeof(TwoBest) * 2 * n + sizeof(int) * 19 * n);
+        sizeof(Reserve) * 2 * n + sizeof(TwoBest) * 2 * n +
+        sizeof(double) * 2 * n + sizeof(int) * 19 * n + sizeof(bool) * 2 * n);
     std::byte* at = buffer_.get();
+    reserve_ = Carve<Reserve>(at, 2 * n);
     cache_ = Carve<TwoBest>(at, 2 * n);
+    costs_ = Carve<double>(at, 2 * n);
     tree_ = Carve<int>(at, 2 * n);
     link_next_ = Carve<int>(at, 6 * n);
     link_prev_ = Carve<int>(at, 6 * n);
@@ -62,6 +83,7 @@ class LossSolver {
     succ_ = Carve<int>(at, n);
     rows_ = Carve<int>(at, n);
     cols_ = Carve<int>(at, n);
+    open_ = Carve<bool>(at, 2 * n);
   }
 
   std::vector<int> Solve() {
@@ -97,7 +119,7 @@ class LossSolver {
  private:
   /// The two lexicographically smallest (cost, city) pairs among a row's or
   /// column's available finite-cost edges: what an ascending scan keeping
-  /// strict `<` improvements finds.
+  /// strict `<` improvements finds. These are the edges a slot watches.
   struct TwoBest {
     double best_cost;
     double second_cost;
@@ -105,6 +127,24 @@ class LossSolver {
     int second;
   };
   static constexpr TwoBest kEmpty{kInfiniteCost, kInfiniteCost, -1, -1};
+
+  /// The kDepth lexicographically smallest (cost, city) pairs among a
+  /// slot's finite-cost edges available at its last full scan, in that
+  /// order. Unused entries, all at the end, hold city -1 at kInfiniteCost,
+  /// so a reserve is full when its last entry is used.
+  struct Reserve {
+    double cost[kDepth];
+    int city[kDepth];
+  };
+  static constexpr Reserve EmptyReserve() {
+    Reserve r{};
+    for (int k = 0; k < kDepth; ++k) {
+      r.cost[k] = kInfiniteCost;
+      r.city[k] = -1;
+    }
+    return r;
+  }
+  static constexpr Reserve kEmptyReserve = EmptyReserve();
 
   /// The next `count` Ts of the buffer, whose storage implicitly creates
   /// them.
@@ -115,49 +155,60 @@ class LossSolver {
     return out;
   }
 
-  /// Offers an edge of cost `c` to `city`. Offers arrive in ascending city
-  /// order, so strict `<` lets the lower city win a tie.
-  static void Offer(TwoBest& tb, double c, int city) {
-    if (c < tb.second_cost) {
-      if (c < tb.best_cost) {
-        tb.second = tb.best;
-        tb.second_cost = tb.best_cost;
-        tb.best = city;
-        tb.best_cost = c;
-      } else {
-        tb.second = city;
-        tb.second_cost = c;
-      }
+  /// Inserts an edge of cost `c`, cheaper than the reserve's last entry,
+  /// and returns the new last cost. Callers offer edges in ascending city
+  /// order and insert only on a strict `<` against that cost, so the lower
+  /// city stays ahead on a tie, and an infinite or NaN cost never enters.
+  static double Insert(Reserve& r, double c, int city) {
+    int k = kDepth - 1;
+    for (; k > 0 && c < r.cost[k - 1]; --k) {
+      r.cost[k] = r.cost[k - 1];
+      r.city[k] = r.city[k - 1];
     }
+    r.cost[k] = c;
+    r.city[k] = city;
+    return r.cost[kDepth - 1];
   }
 
-  /// Prices every edge once, filling each row's cache and each column's
-  /// in the same ascending order their rescans use.
+  /// Prices every edge once, a row per call, offering each to its row's
+  /// reserve and its column's in the same ascending order scans use.
   void Seed() {
-    for (int slot = 1; slot < 2 * n_; slot += 2) cache_[slot] = kEmpty;
-    for (int x = 0; x < n_; ++x) {
-      TwoBest row = kEmpty;
-      for (int y = 1; y < n_; ++y) {
-        if (y == x) continue;
-        const double c = m_.cost(x, y);
-        Offer(row, c, y);
-        Offer(cache_[2 * y + 1], c, x);
-      }
-      cache_[2 * x] = row;
-    }
     for (int c = 0; c < n_; ++c) {
       head_[c] = tail_[c] = c;
       succ_[c] = -1;
       rows_[c] = c;
       if (c > 0) cols_[c - 1] = c;
+      open_[2 * c] = true;
+      open_[2 * c + 1] = c > 0;  // city 0 has no column
     }
     nrows_ = n_;
     ncols_ = n_ - 1;
+    std::fill_n(reserve_, 2 * n_, kEmptyReserve);
+    // Column y's last reserve cost sits at bounds[y - 1], next to its
+    // neighbours', so the offers that do not enter (nearly all) read one
+    // small array instead of touching every column's reserve.
+    double* bounds = costs_ + n_;
+    std::fill_n(bounds, n_ - 1, kInfiniteCost);
+    for (int x = 0; x < n_; ++x) {
+      m_.RowCosts(x, cols_, ncols_, costs_);
+      Reserve& row = reserve_[2 * x];
+      double row_bound = kInfiniteCost;
+      for (int i = 0; i < ncols_; ++i) {
+        const double c = costs_[i];
+        if (c < row_bound) row_bound = Insert(row, c, cols_[i]);
+        if (c < bounds[i]) {
+          bounds[i] = Insert(reserve_[2 * cols_[i] + 1], c, x);
+        }
+      }
+    }
     for (int list = 4 * n_; list < 6 * n_; ++list) {
       link_next_[list] = link_prev_[list] = list;
     }
+    cache_[1] = kEmpty;
     for (int slot = 0; slot < 2 * n_; ++slot) {
-      if (slot == 1) continue;  // city 0 has no column
+      if (slot == 1) continue;
+      // Every seeded entry is available, so this takes the first two.
+      Take(slot);
       Watch(slot);
       if (cache_[slot].best < 0) ++empty_;
     }
@@ -180,27 +231,29 @@ class LossSolver {
     head_[tail] = head;
     tail_[head] = tail;
     if (!refresh) return;
-    // Rows that cached column v and columns that cached row u lost an edge,
-    // as did the merged fragment's tail row and head column if they cached
-    // the tail→head edge that would now close a cycle. (Column 0 caches
-    // nothing, so head == 0 adds no rescan.) The four groups are disjoint.
+    // Rows that watched column v and columns that watched row u lost an
+    // edge, as did the merged fragment's tail row and head column if they
+    // watched the tail→head edge that would now close a cycle. (Column 0
+    // watches nothing, so head == 0 adds no refill.) The four groups are
+    // disjoint.
     const int empty_before = empty_;
-    int rescans = RescanWatchers(col) + RescanWatchers(row);
+    int refills = RefillWatchers(col) + RefillWatchers(row);
     if (Holds(2 * tail, head)) {
-      Rescan(2 * tail);
-      ++rescans;
+      Refill(2 * tail);
+      ++refills;
     }
     if (Holds(2 * head + 1, tail)) {
-      Rescan(2 * head + 1);
-      ++rescans;
+      Refill(2 * head + 1);
+      ++refills;
     }
-    if (stats_ != nullptr) stats_->row_rescans += rescans + empty_before;
+    if (stats_ != nullptr) stats_->row_rescans += refills + empty_before;
   }
 
   /// Retires a committed row or column: it leaves its partners' watcher
-  /// lists, the tournament, and the open list rescans walk. It never has an
+  /// lists, the tournament, and the open list scans walk. It never has an
   /// empty cache, since it held the committed edge.
   void Close(int slot, int* open, int& count) {
+    open_[slot] = false;
     Unwatch(slot);
     cache_[slot] = kEmpty;
     Replay(slot);
@@ -209,39 +262,92 @@ class LossSolver {
     --count;
   }
 
-  /// Rescans every cache watching the closed `slot`. Each rescan moves its
+  /// Refills every slot watching the closed `slot`. Each refill moves its
   /// node off this list, so the loop drains it.
-  int RescanWatchers(int slot) {
+  int RefillWatchers(int slot) {
     const int list = ListOf(slot);
     int count = 0;
-    for (; link_next_[list] != list; ++count) Rescan(link_next_[list] >> 1);
+    for (; link_next_[list] != list; ++count) Refill(link_next_[list] >> 1);
     return count;
   }
 
-  /// Refills one cache from the open rows or columns, in ascending order.
-  /// Row x may take any open column but its own fragment's head; column y
-  /// any open row but its own fragment's tail.
-  void Rescan(int slot) {
+  /// Re-picks the watched pair of a slot that lost one of its edges: from
+  /// its reserve, or, when that runs short, from a full scan.
+  void Refill(int slot) {
     Unwatch(slot);
-    TwoBest tb = kEmpty;
-    const int city = slot >> 1;
-    if (slot & 1) {
-      const int skip = tail_[city];
-      for (int i = 0; i < nrows_; ++i) {
-        const int x = rows_[i];
-        if (x != skip) Offer(tb, m_.cost(x, city), x);
-      }
-    } else {
-      const int skip = head_[city];
-      for (int i = 0; i < ncols_; ++i) {
-        const int y = cols_[i];
-        if (y != skip) Offer(tb, m_.cost(city, y), y);
-      }
+    if (!Take(slot)) {
+      Scan(slot);
+      Take(slot);
     }
-    cache_[slot] = tb;
-    if (tb.best < 0) ++empty_;
+    if (cache_[slot].best < 0) ++empty_;
     Watch(slot);
     Replay(slot);
+  }
+
+  /// Watches the first two entries of the slot's reserve still available.
+  /// Returns false, watching nothing new, when the reserve was full and
+  /// keeps fewer than two: an edge past its end may now be among the
+  /// cheapest two.
+  bool Take(int slot) {
+    const Reserve& r = reserve_[slot];
+    int k = 0;
+    while (k < kDepth && r.city[k] >= 0 && !Available(slot, r.city[k])) ++k;
+    TwoBest tb = kEmpty;
+    if (k < kDepth && r.city[k] >= 0) {
+      tb.best = r.city[k];
+      tb.best_cost = r.cost[k];
+      for (++k; k < kDepth && r.city[k] >= 0; ++k) {
+        if (Available(slot, r.city[k])) {
+          tb.second = r.city[k];
+          tb.second_cost = r.cost[k];
+          break;
+        }
+      }
+    }
+    if (tb.second < 0 && r.city[kDepth - 1] >= 0) return false;
+    cache_[slot] = tb;
+    return true;
+  }
+
+  /// Whether the slot's edge to `city` can still be committed: the partner
+  /// row or column is open, and the edge does not close a cycle, as an
+  /// edge from a row to its own fragment's head, or into a column from its
+  /// own fragment's tail, would.
+  bool Available(int slot, int city) const {
+    const int own = slot >> 1;
+    const int closes = (slot & 1) ? tail_[own] : head_[own];
+    return open_[Partner(slot, city)] && city != closes;
+  }
+
+  /// Rebuilds a slot's reserve from its whole open row or column, priced
+  /// in one call and offered in ascending order. Row x may take any open
+  /// column but its own fragment's head; column y any open row but its own
+  /// fragment's tail.
+  void Scan(int slot) {
+    if (stats_ != nullptr) ++stats_->full_scans;
+    const int city = slot >> 1;
+    const int* partners;
+    int count;
+    int closes;
+    if (slot & 1) {
+      partners = rows_;
+      count = nrows_;
+      closes = tail_[city];
+      m_.ColumnCosts(rows_, nrows_, city, costs_);
+    } else {
+      partners = cols_;
+      count = ncols_;
+      closes = head_[city];
+      m_.RowCosts(city, cols_, ncols_, costs_);
+    }
+    Reserve& r = reserve_[slot];
+    r = kEmptyReserve;
+    double bound = kInfiniteCost;
+    for (int i = 0; i < count; ++i) {
+      if (costs_[i] < bound && partners[i] != closes) {
+        bound = Insert(r, costs_[i], partners[i]);
+      }
+    }
   }
 
   bool Holds(int slot, int city) const {
@@ -283,7 +389,7 @@ class LossSolver {
   // second; each hangs on the list of the partner it names, a circular
   // doubly linked list whose head is node ListOf(partner).
   int ListOf(int slot) const { return 4 * n_ + slot; }
-  /// A row caches columns and a column caches rows.
+  /// A row's edges go to columns and a column's come from rows.
   static int Partner(int slot, int city) { return 2 * city + 1 - (slot & 1); }
 
   void Watch(int slot) {
@@ -312,8 +418,10 @@ class LossSolver {
   int n_;
   LossStats* stats_;
   std::unique_ptr<std::byte[]> buffer_;
-  TwoBest* cache_;  ///< per slot; closed slots hold kEmpty
-  int* tree_;       ///< tree_[node]: winning slot below node, 1 ≤ node < 2n
+  Reserve* reserve_;  ///< per slot, from its last full scan (or the seed)
+  TwoBest* cache_;    ///< per slot, the watched pair; closed slots: kEmpty
+  double* costs_;     ///< one row's or column's prices; the seed's bounds
+  int* tree_;         ///< tree_[node]: winning slot below node, 1 ≤ node < 2n
   int* link_next_;
   int* link_prev_;
   int* head_;  ///< head_[t]: head of the fragment whose tail is t
@@ -321,17 +429,18 @@ class LossSolver {
   int* succ_;  ///< committed out-edge, -1 while the row is open
   int* rows_;  ///< open rows, ascending
   int* cols_;  ///< open columns, ascending
+  bool* open_;  ///< open_[slot]: the row or column still lacks its edge
   int nrows_ = 0;
   int ncols_ = 0;
   int empty_ = 0;  ///< open slots whose cache holds no edge
 };
 
 /// Builds a LOSS Hamiltonian path over any cost source.
-template <typename Costs>
+template <int kDepth = kLossReserveDepth, typename Costs>
 std::vector<int> SolveLossPathOver(const Costs& costs,
                                    LossStats* stats = nullptr) {
   if (costs.size() == 1) return {0};
-  return LossSolver<Costs>(costs, stats).Solve();
+  return LossSolver<Costs, kDepth>(costs, stats).Solve();
 }
 
 }  // namespace serpentine::tsp

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 
@@ -333,6 +334,44 @@ TEST(TertiaryStoreTest, DuplicateReadsAnswerOldestFirst) {
   }
   EXPECT_GT(older_done, 0.0);
   EXPECT_LT(older_done, newer_done);
+}
+
+TEST(TertiaryStoreTest, StampsWithTheFlushingDrivesClock) {
+  // Every flush runs on bay 0. Bay 1 of this two-drive library has idled
+  // to 10,000 s, which makes it the library-wide now(); the stamps, the
+  // elapsed time and the responses must still come from bay 0's clock.
+  StoreOptions options;
+  options.cache_segments = 0;
+  TertiaryStore store(options,
+                      TapeLibrary(Dlt4000TapeParams(), 1, Dlt4000Timings(),
+                                  /*first_seed=*/1, /*drives=*/2));
+  store.library().Idle(1, 10000.0);
+  Lrand48 rng(17);
+  SegmentId total = store.library().model(0).geometry().total_segments();
+  for (int i = 0; i < 12; ++i) {
+    ASSERT_TRUE(store.SubmitRead(0, rng.NextBounded(total)).ok());
+  }
+  auto report = store.Flush();
+  ASSERT_TRUE(report.ok());
+  ASSERT_EQ(report->completed.size(), 12u);
+  const TapeLibrary& library = store.library();
+  EXPECT_EQ(library.now(1), 10000.0);
+  // Bay 0 started at 0 and did all the work: the mount, the locates and
+  // the reads.
+  EXPECT_GT(library.now(0), 100.0);
+  EXPECT_LT(library.now(0), 10000.0);
+  EXPECT_EQ(report->elapsed_seconds, library.now(0));
+  double sum = 0.0;
+  double latest = 0.0;
+  for (const CompletedRead& c : report->completed) {
+    EXPECT_EQ(c.submit_seconds, 0.0);
+    EXPECT_GT(c.complete_seconds, 0.0);
+    EXPECT_LE(c.complete_seconds, library.now(0));
+    sum += c.response_seconds();
+    latest = std::max(latest, c.complete_seconds);
+  }
+  EXPECT_EQ(report->max_response_seconds, latest);
+  EXPECT_DOUBLE_EQ(report->mean_response_seconds, sum / 12);
 }
 
 TEST(TertiaryStoreTest, FlushCompletesAllPending) {

@@ -1,5 +1,7 @@
 #include "serpentine/tsp/locate_cost.h"
 
+#include <algorithm>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -202,6 +204,137 @@ TEST_F(LocateCostSoATest, HelicalModelUsesFallback) {
       EXPECT_EQ(soa.LocateSeconds(i, j), helical.LocateSeconds(out[i], in[j]));
     }
   }
+}
+
+// RowCosts and ColumnCosts, the calls LossSolver prices through: each
+// entry must be cost() of its edge, which is the model's own LocateSeconds
+// off the diagonal and off column 0, and kInfiniteCost on them.
+struct Family {
+  const char* name;
+  tape::TapeParams params;
+  tape::DriveTimings timings;
+};
+
+std::vector<Family> KernelFamilies() {
+  return {{"dlt4000", tape::Dlt4000TapeParams(), tape::Dlt4000Timings()},
+          {"dlt7000", tape::Dlt7000TapeParams(), tape::Dlt7000Timings()},
+          {"ibm3590", tape::Ibm3590TapeParams(), tape::Ibm3590Timings()}};
+}
+
+/// Cities as a LOSS batch lays them out, entered at a segment and left one
+/// past it: random segments, plus twins and near neighbours of earlier
+/// ones, so rows hold zero-cost, read-forward (case 1) and reversing edges.
+void BatchEndpoints(SegmentId total, int n, int32_t seed,
+                    std::vector<SegmentId>* out, std::vector<SegmentId>* in) {
+  Lrand48 rng(seed);
+  out->clear();
+  in->clear();
+  for (int c = 0; c < n; ++c) {
+    SegmentId at = rng.NextBounded(total);
+    if (c >= 4 && c % 4 == 0) at = (*in)[rng.NextBounded(c)];
+    if (c >= 4 && c % 4 == 1) {
+      at = std::min<SegmentId>((*in)[rng.NextBounded(c)] + rng.NextBounded(900),
+                               total - 1);
+    }
+    in->push_back(at);
+    out->push_back(std::min<SegmentId>(at + 1, total - 1));
+  }
+}
+
+/// Every row and every column of `soa`, priced over `open`, against cost()
+/// and against `model` itself.
+void ExpectRowsAndColumnsMatchEveryEdge(const LocateCostSoA& soa,
+                                        const tape::LocateModel& model,
+                                        const std::vector<SegmentId>& out,
+                                        const std::vector<SegmentId>& in,
+                                        const std::vector<int>& open,
+                                        const std::string& label) {
+  const int count = static_cast<int>(open.size());
+  auto want = [&](int i, int j) {
+    return i == j || j == 0 ? kInfiniteCost
+                            : model.LocateSeconds(out[i], in[j]);
+  };
+  std::vector<double> got(count);
+  for (int i = 0; i < soa.size(); ++i) {
+    soa.RowCosts(i, open.data(), count, got.data());
+    for (int k = 0; k < count; ++k) {
+      const int j = open[k];
+      EXPECT_EQ(got[k], soa.cost(i, j)) << label << " row " << i << "->" << j;
+      EXPECT_EQ(got[k], want(i, j)) << label << " row " << i << "->" << j;
+    }
+  }
+  for (int j = 0; j < soa.size(); ++j) {
+    soa.ColumnCosts(open.data(), count, j, got.data());
+    for (int k = 0; k < count; ++k) {
+      const int i = open[k];
+      EXPECT_EQ(got[k], soa.cost(i, j)) << label << " column " << i << "->"
+                                        << j;
+      EXPECT_EQ(got[k], want(i, j)) << label << " column " << i << "->" << j;
+    }
+  }
+}
+
+TEST(LocateCostRowsTest, KernelRowsAndColumnsPriceEveryEdgeAsCost) {
+  for (const Family& f : KernelFamilies()) {
+    const tape::Dlt4000LocateModel model(
+        tape::TapeGeometry::Generate(f.params, 3), f.timings);
+    std::vector<SegmentId> out;
+    std::vector<SegmentId> in;
+    BatchEndpoints(model.geometry().total_segments(), 160, 29, &out, &in);
+    LocateCostSoA soa(model, out, in);
+    ASSERT_TRUE(soa.fast_kernel()) << f.name;
+    // Open lists as a solve leaves them: ascending with gaps, still holding
+    // city 0 (a row list) and the priced city itself. Then every city.
+    std::vector<int> gaps;
+    for (int c = 0; c < soa.size(); ++c) {
+      if (c % 3 != 1 && c % 7 != 5) gaps.push_back(c);
+    }
+    std::vector<int> all(soa.size());
+    for (int c = 0; c < soa.size(); ++c) all[c] = c;
+    ExpectRowsAndColumnsMatchEveryEdge(soa, model, out, in, gaps,
+                                       std::string(f.name) + " gaps");
+    ExpectRowsAndColumnsMatchEveryEdge(soa, model, out, in, all,
+                                       std::string(f.name) + " all");
+  }
+}
+
+TEST(LocateCostRowsTest, ForbiddenEdgesPriceAsInfinite) {
+  const tape::Dlt4000LocateModel model(
+      tape::TapeGeometry::Generate(tape::Dlt4000TapeParams(), 1),
+      tape::Dlt4000Timings());
+  // Every city at one segment: each edge's locate is zero seconds, so only
+  // the self-loop and the edge into city 0 are infinite.
+  const std::vector<SegmentId> at(5, 7000);
+  LocateCostSoA soa(model, at, at);
+  const std::vector<int> to = {0, 1, 2, 3, 4};
+  std::vector<double> got(5);
+  for (int i = 0; i < 5; ++i) {
+    soa.RowCosts(i, to.data(), 5, got.data());
+    for (int j = 0; j < 5; ++j) {
+      EXPECT_EQ(got[j], i == j || j == 0 ? kInfiniteCost : 0.0) << i << j;
+    }
+    soa.ColumnCosts(to.data(), 5, i, got.data());
+    for (int k = 0; k < 5; ++k) {
+      EXPECT_EQ(got[k], k == i || i == 0 ? kInfiniteCost : 0.0) << k << i;
+    }
+  }
+}
+
+TEST(LocateCostRowsTest, FallbackRowsAndColumnsPriceEveryEdgeAsCost) {
+  // A model the kernel does not recognise answers through cost(), memo and
+  // all.
+  const tape::Dlt4000LocateModel base(
+      tape::TapeGeometry::Generate(tape::Dlt4000TapeParams(), 1),
+      tape::Dlt4000Timings());
+  CountingLocateModel counting(base);
+  std::vector<SegmentId> out;
+  std::vector<SegmentId> in;
+  BatchEndpoints(base.geometry().total_segments(), 40, 31, &out, &in);
+  LocateCostSoA soa(counting, out, in);
+  ASSERT_FALSE(soa.fast_kernel());
+  std::vector<int> gaps;
+  for (int c = 0; c < soa.size(); c += 2) gaps.push_back(c);
+  ExpectRowsAndColumnsMatchEveryEdge(soa, base, out, in, gaps, "fallback");
 }
 
 TEST_F(LocateCostSoATest, ExposesEndpointPositions) {

@@ -2,9 +2,13 @@
 // scan solver it replaced (loss_scan_reference.h): both must build the same
 // path with the same iteration and rescan counts. The instances lean on the
 // tie-breaks, which is where an event-driven solver can drift from a scan:
-// dense matrices with 2, 5 and 990 distinct costs, rows forced onto a single
-// finite edge, and DLT4000 locate costs over uniform, clustered and
+// dense matrices with 1, 2, 5 and 990 distinct costs, rows forced onto a
+// single finite edge, and DLT4000 locate costs over uniform, clustered and
 // duplicate-segment draws, with a random, beginning-of-tape or pinned start.
+// Each instance runs at both reserve depths, the lazy path's
+// kLossReserveDepth and the dense path's kDenseLossReserveDepth, and
+// several are built so that reserves run dry: more equal edges than a
+// reserve holds, and rows with about a reserve's worth of cheap edges.
 // SolveLossPath(LocateCostSoA), which prices batches of up to
 // kDenseLossMaxCities cities into a dense matrix before solving, is held to
 // the same oracle on both sides of that threshold.
@@ -16,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include "loss_scan_reference.h"
+#include "serpentine/sim/experiment.h"
 #include "serpentine/tape/locate_model.h"
 #include "serpentine/tsp/cost_matrix.h"
 #include "serpentine/tsp/locate_cost.h"
@@ -34,14 +39,35 @@ void ExpectSameStats(const LossStats& got, const LossStats& want,
   EXPECT_EQ(got.row_rescans, want.row_rescans) << label;
 }
 
+/// A full scan only ever answers a refill, and the refills are at most the
+/// rescans a scan solver makes after its first iteration.
+void ExpectScansWithinRefills(const LossStats& got, int cities,
+                              const std::string& label) {
+  if (cities < 2) return;
+  EXPECT_GE(got.full_scans, 0) << label;
+  EXPECT_LE(got.full_scans, got.row_rescans - (2 * cities - 1)) << label;
+}
+
+template <int kDepth, typename Costs>
+void ExpectSameAtDepth(const Costs& costs, const std::vector<int>& want,
+                       const LossStats& want_stats, const std::string& label) {
+  LossStats got_stats;
+  std::vector<int> got = SolveLossPathOver<kDepth>(costs, &got_stats);
+  const std::string at = label + " depth=" + std::to_string(kDepth);
+  EXPECT_EQ(got, want) << at;
+  ExpectSameStats(got_stats, want_stats, at);
+  ExpectScansWithinRefills(got_stats, costs.size(), at);
+}
+
+/// The solver at both reserve depths, the lazy path's and the dense
+/// path's, against one run of the scan solver.
 template <typename Costs>
 void ExpectSameAsScan(const Costs& costs, const std::string& label) {
-  LossStats got_stats;
   LossStats want_stats;
-  std::vector<int> got = SolveLossPathOver(costs, &got_stats);
-  std::vector<int> want = reference::SolveLossPathOver(costs, &want_stats);
-  EXPECT_EQ(got, want) << label;
-  ExpectSameStats(got_stats, want_stats, label);
+  const std::vector<int> want =
+      reference::SolveLossPathOver(costs, &want_stats);
+  ExpectSameAtDepth<kLossReserveDepth>(costs, want, want_stats, label);
+  ExpectSameAtDepth<kDenseLossReserveDepth>(costs, want, want_stats, label);
 }
 
 /// As ExpectSameAsScan, through the entry point the schedulers call, which
@@ -54,6 +80,7 @@ void ExpectDispatchSameAsScan(const LocateCostSoA& costs,
   std::vector<int> want = reference::SolveLossPathOver(costs, &want_stats);
   EXPECT_EQ(got, want) << label;
   ExpectSameStats(got_stats, want_stats, label);
+  ExpectScansWithinRefills(got_stats, costs.size(), label);
 }
 
 /// Random costs drawn from `distinct` values 1..distinct: few values mean
@@ -66,8 +93,13 @@ CostMatrix TiedInstance(int n, int distinct, int32_t seed) {
 }
 
 TEST(LossEquivalenceTest, TieHeavyDenseMatrices) {
-  for (int distinct : {2, 5, 990}) {
+  // One distinct cost makes every row and column a run of equal edges far
+  // longer than a reserve, so only the city order breaks ties. Every
+  // commit then refills every row, O(n³) for the scan solver, so those
+  // matrices stop at 64 cities.
+  for (int distinct : {1, 2, 5, 990}) {
     for (int n : {1, 2, 3, 5, 17, 64, 200, 333}) {
+      if (distinct == 1 && n > 64) continue;
       const int seeds = n <= 64 ? 6 : 2;
       for (int32_t seed = 1; seed <= seeds; ++seed) {
         ExpectSameAsScan(TiedInstance(n, distinct, 100 * n + seed),
@@ -75,6 +107,54 @@ TEST(LossEquivalenceTest, TieHeavyDenseMatrices) {
                              " n=" + std::to_string(n) +
                              " seed=" + std::to_string(seed));
       }
+    }
+  }
+}
+
+TEST(LossEquivalenceTest, RowsWithMoreCheapTiesThanTheReserveHolds) {
+  // Every row's cheapest cost, 1, sits on kLossReserveDepth + 1 to + 3
+  // columns drawn at random, and every other edge costs 2 to 6. A reserve
+  // fills with cost-1 edges in city order and runs dry while cost-1 edges
+  // it never kept are still available: the scan that follows must find
+  // them, again in city order.
+  for (int n : {12, 17, 40, 129, 200}) {
+    for (int32_t seed = 1; seed <= 4; ++seed) {
+      Lrand48 rng(11 * n + seed);
+      CostMatrix m = CostMatrix::Build(n, [&](int, int) {
+        return 2.0 + static_cast<double>(rng.NextBounded(5));
+      });
+      for (int x = 0; x < n; ++x) {
+        const int ties = kLossReserveDepth + 1 + x % 3;
+        for (int t = 0; t < ties; ++t) {
+          const int y = 1 + static_cast<int>(rng.NextBounded(n - 1));
+          if (y != x) m.set(x, y, 1.0);
+        }
+      }
+      ExpectSameAsScan(
+          m, "n=" + std::to_string(n) + " seed=" + std::to_string(seed));
+    }
+  }
+}
+
+TEST(LossEquivalenceTest, RowsWithAboutAReservesWorthOfCheapEdges) {
+  // Row x keeps only about kLossReserveDepth - 2 + x % 5 cheap edges (1 to
+  // 5); every other edge costs 1000. A reserve holds its row's cheap edges
+  // and then a run of equal 1000s, or is all cheap edges with more behind
+  // it, so refills walk past taken ties and scans land in long tie runs.
+  for (int n : {8, 12, 30, 100}) {
+    for (int32_t seed = 1; seed <= 4; ++seed) {
+      CostMatrix m = TiedInstance(n, 5, 13 * n + seed);
+      Lrand48 rng(seed);
+      for (int x = 0; x < n; ++x) {
+        const int keep = kLossReserveDepth - 2 + x % 5;
+        for (int y = 1; y < n; ++y) {
+          if (y != x && static_cast<int>(rng.NextBounded(n)) >= keep) {
+            m.set(x, y, 1000.0);
+          }
+        }
+      }
+      ExpectSameAsScan(
+          m, "n=" + std::to_string(n) + " seed=" + std::to_string(seed));
     }
   }
 }
@@ -148,7 +228,7 @@ TEST_F(LossEquivalenceDltTest, UniformDrawsFromARandomStartAndFromBot) {
 TEST_F(LossEquivalenceDltTest, ClusteredDraws) {
   // A few narrow bands of tape: most edges stay in one track's read-speed
   // window, so many locate times coincide.
-  for (int requests : {16, 200, 1024}) {
+  for (int requests : {16, 200, 1024, 2048}) {
     Lrand48 rng(31 * requests);
     std::vector<SegmentId> centres = Uniform(rng, 4);
     std::vector<SegmentId> segments;
@@ -174,6 +254,26 @@ TEST_F(LossEquivalenceDltTest, DuplicateSegments) {
     }
     ExpectSameAsScan(Cities(pool[0], segments),
                      "requests=" + std::to_string(requests));
+  }
+}
+
+TEST_F(LossEquivalenceDltTest, DuplicatePoolsAtThePapersSizes) {
+  // Fig 4/6 sizes drawn from pools of about half as many segments: most
+  // cities have twins, so rows hold runs of equal edges (zero-cost ones
+  // among them) longer than a reserve, and a commit takes a twin that
+  // other rows' reserves still list. (Smaller pools drain reserves harder
+  // but make the scan solver take seconds.)
+  const std::pair<int, int> draws[] = {{1024, 300}, {2048, 1000}};
+  for (const auto& [requests, pool_size] : draws) {
+    Lrand48 rng(requests + pool_size);
+    std::vector<SegmentId> pool = Uniform(rng, pool_size);
+    std::vector<SegmentId> segments;
+    for (int i = 0; i < requests; ++i) {
+      segments.push_back(pool[rng.NextBounded(pool_size)]);
+    }
+    ExpectSameAsScan(Cities(rng.NextBounded(total_), segments),
+                     "requests=" + std::to_string(requests) +
+                         " pool=" + std::to_string(pool_size));
   }
 }
 
@@ -257,6 +357,29 @@ TEST_F(LossEquivalenceDltTest, PinnedStartFragmentsAroundTheDenseThreshold) {
         LocateCostSoA(model_, std::move(out), std::move(in)),
         "fragment cities=" + std::to_string(cities));
   }
+}
+
+TEST_F(LossEquivalenceDltTest, ThePapersOperatingPointRarelyScans) {
+  // batch-loss-1024's first draw (serpbench seed 1, trial 0): 1,025 cities
+  // on the lazy path. Its 2,989 refills (row_rescans less the first
+  // iteration's 2n-1; no slot runs empty here) answer all but 410 from a
+  // reserve. A solver without one scans on every refill.
+  Lrand48 rng(0);
+  rng.SeedState(DeriveRand48State(1, 0));
+  const SegmentId start = rng.NextBounded(total_);
+  std::vector<SegmentId> segments;
+  for (const sched::Request& r :
+       sim::GenerateUniformRequests(rng, 1024, total_)) {
+    segments.push_back(r.segment);
+  }
+  const LocateCostSoA costs = Cities(start, segments);
+  ASSERT_GT(costs.size(), kDenseLossMaxCities);
+  LossStats stats;
+  SolveLossPath(costs, &stats);
+  EXPECT_EQ(stats.iterations, 1024);
+  EXPECT_EQ(stats.row_rescans, 5038);
+  EXPECT_EQ(stats.full_scans, 410);
+  EXPECT_LT(7 * stats.full_scans, stats.row_rescans - (2 * 1025 - 1));
 }
 
 }  // namespace

@@ -32,6 +32,18 @@ TEST(CostMatrixTest, SelfLoopsAndStartInEdgesForbidden) {
   EXPECT_EQ(m.cost(0, 1), 1.0);
 }
 
+TEST(CostMatrixTest, RowAndColumnCostsReadStoredValues) {
+  CostMatrix m = RandomInstance(9, 4);
+  const std::vector<int> open = {0, 2, 3, 7, 8};
+  std::vector<double> got(open.size());
+  for (int x = 0; x < 9; ++x) {
+    m.RowCosts(x, open.data(), 5, got.data());
+    for (int k = 0; k < 5; ++k) EXPECT_EQ(got[k], m.cost(x, open[k]));
+    m.ColumnCosts(open.data(), 5, x, got.data());
+    for (int k = 0; k < 5; ++k) EXPECT_EQ(got[k], m.cost(open[k], x));
+  }
+}
+
 TEST(CostMatrixTest, PathCostSumsEdges) {
   CostMatrix m(3);
   m.set(0, 1, 5.0);
