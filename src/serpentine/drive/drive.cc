@@ -20,13 +20,4 @@ const char* OpStatusName(OpStatus s) {
   return "unknown";
 }
 
-bool IsRetryable(OpStatus s) {
-  // kCircuitOpen is deliberately excluded: it is curable by *waiting out
-  // the cooldown*, not by the bounded-backoff retry loops this predicate
-  // gates — those would burn their budget against a breaker that refuses
-  // everything until its timer expires.
-  return s == OpStatus::kTransientReadError ||
-         s == OpStatus::kLocateOvershoot || s == OpStatus::kDriveReset;
-}
-
 }  // namespace serpentine::drive

@@ -51,9 +51,6 @@ enum class OpStatus {
 /// Stable lowercase name ("ok", "transient-read", ...).
 const char* OpStatusName(OpStatus s);
 
-/// True for statuses a bounded retry can cure.
-bool IsRetryable(OpStatus s);
-
 /// Per-phase time breakdown of one operation. Useful work lands in the
 /// locate/read/rewind buckets; wasted motion, settle/reset penalties, and
 /// failed read passes land in recovery_seconds — the same split

@@ -12,33 +12,9 @@
 
 namespace serpentine::drive {
 
-const char* FaultTypeName(FaultType t) {
-  switch (t) {
-    case FaultType::kNone:
-      return "none";
-    case FaultType::kTransientReadError:
-      return "transient-read";
-    case FaultType::kLocateOvershoot:
-      return "locate-overshoot";
-    case FaultType::kDriveReset:
-      return "drive-reset";
-    case FaultType::kPermanentMediaError:
-      return "permanent-media";
-    case FaultType::kRobotFault:
-      return "robot-fault";
-  }
-  return "unknown";
-}
-
-ErrorClass ClassifyFault(FaultType t) {
-  return t == FaultType::kPermanentMediaError ? ErrorClass::kPermanent
-                                              : ErrorClass::kRetryable;
-}
-
 bool FaultProfile::any() const {
   return transient_read_rate > 0 || locate_overshoot_rate > 0 ||
-         drive_reset_rate > 0 || permanent_error_rate > 0 ||
-         mount_failure_rate > 0;
+         drive_reset_rate > 0 || permanent_error_rate > 0;
 }
 
 FaultProfile FaultProfile::Scaled(double factor) const {
@@ -50,7 +26,6 @@ FaultProfile FaultProfile::Scaled(double factor) const {
   p.locate_overshoot_rate = scale(locate_overshoot_rate);
   p.drive_reset_rate = scale(drive_reset_rate);
   p.permanent_error_rate = scale(permanent_error_rate);
-  p.mount_failure_rate = scale(mount_failure_rate);
   return p;
 }
 
@@ -62,7 +37,6 @@ FaultProfile FaultProfile::Light() {
   p.locate_overshoot_rate = 0.005;
   p.drive_reset_rate = 0.0005;
   p.permanent_error_rate = 0.0002;
-  p.mount_failure_rate = 0.01;
   return p;
 }
 
@@ -72,7 +46,6 @@ FaultProfile FaultProfile::Heavy() {
   p.locate_overshoot_rate = 0.05;
   p.drive_reset_rate = 0.01;
   p.permanent_error_rate = 0.005;
-  p.mount_failure_rate = 0.1;
   return p;
 }
 
@@ -101,16 +74,12 @@ serpentine::Status ValidateFaultProfile(const FaultProfile& profile) {
       check_rate(profile.drive_reset_rate, "drive_reset_rate"));
   SERPENTINE_RETURN_IF_ERROR(
       check_rate(profile.permanent_error_rate, "permanent_error_rate"));
-  SERPENTINE_RETURN_IF_ERROR(
-      check_rate(profile.mount_failure_rate, "mount_failure_rate"));
   SERPENTINE_RETURN_IF_ERROR(check_timing(profile.overshoot_settle_seconds,
                                           "overshoot_settle_seconds"));
   SERPENTINE_RETURN_IF_ERROR(check_timing(profile.reset_seconds,
                                           "reset_seconds"));
   SERPENTINE_RETURN_IF_ERROR(check_timing(profile.reread_overhead_seconds,
                                           "reread_overhead_seconds"));
-  SERPENTINE_RETURN_IF_ERROR(check_timing(profile.mount_retry_seconds,
-                                          "mount_retry_seconds"));
   return OkStatus();
 }
 
@@ -159,16 +128,12 @@ serpentine::StatusOr<FaultProfile> LoadFaultProfile(const std::string& spec) {
       p.drive_reset_rate = value;
     } else if (key == "permanent_error_rate") {
       p.permanent_error_rate = value;
-    } else if (key == "mount_failure_rate") {
-      p.mount_failure_rate = value;
     } else if (key == "overshoot_settle_seconds") {
       p.overshoot_settle_seconds = value;
     } else if (key == "reset_seconds") {
       p.reset_seconds = value;
     } else if (key == "reread_overhead_seconds") {
       p.reread_overhead_seconds = value;
-    } else if (key == "mount_retry_seconds") {
-      p.mount_retry_seconds = value;
     } else if (key == "seed") {
       int64_t seed = 0;
       if (!ParseInt64(value_text, std::numeric_limits<int32_t>::min(),
@@ -224,14 +189,6 @@ FaultType FaultInjector::DrawReadFault(tape::SegmentId segment) {
     return FaultType::kTransientReadError;
   }
   return FaultType::kNone;
-}
-
-bool FaultInjector::DrawMountFault() {
-  if (rng_.NextDouble() < profile_.mount_failure_rate) {
-    ++faults_injected_;
-    return true;
-  }
-  return false;
 }
 
 tape::SegmentId FaultInjector::OvershootTarget(

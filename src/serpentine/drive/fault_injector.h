@@ -1,14 +1,14 @@
-// Deterministic fault injection for the drive/library layers.
+// Deterministic fault injection for the drive layer.
 //
 // The paper's schedules are static plans against a believed locate-time
 // model, and PhysicalDrive perturbs only the *timing* of a locate. Real
 // DLT-class hardware also fails structurally: reads hit soft ECC errors and
 // are retried, positioning overshoots near track ends and must be redone
 // (Hillyer & Silberschatz §3/§7 blame exactly this region for their model
-// error), drives soft-reset and rewind to BOT, media develops sticky bad
-// segments, and library robots drop or mis-grip cartridges. TALICS³
-// (Arslan et al.) makes the same point for tape clouds: a simulator is only
-// production-useful once these are first-class events.
+// error), drives soft-reset and rewind to BOT, and media develops sticky
+// bad segments. TALICS³ (Arslan et al.) makes the same point for tape
+// clouds: a simulator is only production-useful once these are first-class
+// events.
 //
 // FaultInjector turns a FaultProfile (per-operation Bernoulli rates plus
 // recovery timings) into a deterministic event stream: one seeded rand48
@@ -27,7 +27,6 @@
 #include "serpentine/tape/geometry.h"
 #include "serpentine/tape/types.h"
 #include "serpentine/util/lrand48.h"
-#include "serpentine/util/retry.h"
 #include "serpentine/util/statusor.h"
 
 namespace serpentine::drive {
@@ -48,15 +47,7 @@ enum class FaultType {
   /// Media defect: the segment is unreadable now and forever (permanent;
   /// sticky per segment).
   kPermanentMediaError,
-  /// Robot/load failure while mounting a cartridge (retryable).
-  kRobotFault,
 };
-
-/// Stable lowercase name ("transient-read", "locate-overshoot", ...).
-const char* FaultTypeName(FaultType t);
-
-/// Whether a fault class is worth retrying.
-ErrorClass ClassifyFault(FaultType t);
 
 /// Rates and recovery timings of one fault process. All rates are
 /// per-operation Bernoulli probabilities; zero everywhere (the default)
@@ -72,8 +63,6 @@ struct FaultProfile {
   /// P[segment goes permanently bad] per serviced request span; once drawn,
   /// the segment stays bad for the injector's lifetime.
   double permanent_error_rate = 0.0;
-  /// P[robot/load failure] per mount attempt.
-  double mount_failure_rate = 0.0;
 
   /// Wasted settle time on an overshoot before the head can re-locate.
   double overshoot_settle_seconds = 4.0;
@@ -82,8 +71,6 @@ struct FaultProfile {
   /// Fixed per-attempt overhead of a failed read pass (ECC retry logic,
   /// internal repositioning), on top of the wasted transport time.
   double reread_overhead_seconds = 2.0;
-  /// Robot re-pick after a failed exchange.
-  double mount_retry_seconds = 20.0;
 
   /// Seed of the injector's rand48 fault stream.
   int32_t seed = 4099;
@@ -140,9 +127,6 @@ class FaultInjector {
   /// Permanent errors are sticky — once a segment has drawn one, every
   /// later read of it fails permanently without consuming a draw.
   FaultType DrawReadFault(tape::SegmentId segment);
-
-  /// Draws whether the next mount attempt fails (robot/load failure).
-  bool DrawMountFault();
 
   /// Where an overshot locate actually settles: a segment within roughly
   /// one reading section of `dst`, never `dst` itself.

@@ -67,8 +67,8 @@ struct BreakerTransition {
   BreakerState to = BreakerState::kClosed;
 };
 
-/// The breaker automaton, independent of any drive so TapeLibrary can run
-/// one per mount point. Legal transitions (asserted by the chaos test):
+/// The breaker automaton, independent of any drive; HealthDrive runs one
+/// over a drive stack. Legal transitions (asserted by the chaos test):
 /// closed→open, open→half-open, half-open→closed, half-open→open.
 ///
 /// Not thread-safe; like the drive it guards, a breaker belongs to one

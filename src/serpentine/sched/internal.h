@@ -28,11 +28,6 @@ std::vector<Request> ScheduleSltfSectioned(const tape::LocateModel& model,
                                            tape::SegmentId initial,
                                            std::vector<Request> requests);
 
-std::vector<Request> ScheduleSltfCoalesced(const tape::LocateModel& model,
-                                           tape::SegmentId initial,
-                                           std::vector<Request> requests,
-                                           int64_t threshold);
-
 std::vector<Request> ScheduleScan(const tape::TapeGeometry& geometry,
                                   std::vector<Request> requests);
 

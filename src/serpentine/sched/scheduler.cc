@@ -48,10 +48,6 @@ StatusOr<Schedule> BuildSchedule(const tape::LocateModel& model,
       if (options.sltf_naive) {
         schedule.order = internal::ScheduleSltfNaive(model, initial_position,
                                                      std::move(requests));
-      } else if (options.sltf_coalesce_threshold > 0) {
-        schedule.order = internal::ScheduleSltfCoalesced(
-            model, initial_position, std::move(requests),
-            options.sltf_coalesce_threshold);
       } else {
         schedule.order = internal::ScheduleSltfSectioned(
             model, initial_position, std::move(requests));

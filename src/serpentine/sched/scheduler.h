@@ -26,10 +26,6 @@ struct SchedulerOptions {
   /// optimized O(n log n + k²) section-based equivalent.
   bool sltf_naive = false;
 
-  /// Coalescing threshold for SLTF's aggressive variant; 0 keeps the
-  /// default section-based behavior.
-  int64_t sltf_coalesce_threshold = 0;
-
   /// Worker threads for parallel schedule construction (sparse-edge
   /// gathering, partitioned-LOSS fragments). 1 (the default) keeps
   /// construction serial; 0 resolves via util::ResolveThreadCount

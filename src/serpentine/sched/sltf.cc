@@ -1,14 +1,11 @@
-// SLTF — shortest locate time first (paper §4). Three variants:
+// SLTF — shortest locate time first (paper §4). Two variants:
 //  * naive: the textbook O(n²) greedy, used as the reference;
 //  * sectioned: the paper's O(n log n + k²) equivalent, exploiting
 //    Fact 1 (reading ahead within a section beats leaving it) and
-//    Fact 2 (a section's cheapest entry is its lowest-numbered segment);
-//  * coalesced: the aggressive variant that first coalesces requests
-//    within a distance threshold.
+//    Fact 2 (a section's cheapest entry is its lowest-numbered segment).
 #include <algorithm>
 #include <map>
 
-#include "serpentine/sched/coalesce.h"
 #include "serpentine/sched/estimator.h"
 #include "serpentine/sched/internal.h"
 #include "serpentine/util/check.h"
@@ -113,37 +110,6 @@ std::vector<Request> ScheduleSltfSectioned(const tape::LocateModel& model,
     --remaining;
   }
   return out;
-}
-
-std::vector<Request> ScheduleSltfCoalesced(const tape::LocateModel& model,
-                                           tape::SegmentId initial,
-                                           std::vector<Request> requests,
-                                           int64_t threshold) {
-  if (requests.empty()) return requests;
-  const tape::TapeGeometry& g = model.geometry();
-  std::vector<CoalescedGroup> groups =
-      CoalesceRequests(std::move(requests), threshold);
-  std::vector<bool> used(groups.size(), false);
-  std::vector<int> visit_order;
-  visit_order.reserve(groups.size());
-  tape::SegmentId position = initial;
-  for (size_t step = 0; step < groups.size(); ++step) {
-    int best = -1;
-    double best_time = 0.0;
-    for (size_t i = 0; i < groups.size(); ++i) {
-      if (used[i]) continue;
-      double t = model.LocateSeconds(position, groups[i].in());
-      if (best < 0 || t < best_time) {
-        best = static_cast<int>(i);
-        best_time = t;
-      }
-    }
-    used[best] = true;
-    visit_order.push_back(best);
-    position = std::min<tape::SegmentId>(groups[best].last() + 1,
-                                         g.total_segments() - 1);
-  }
-  return FlattenGroups(groups, visit_order);
 }
 
 }  // namespace serpentine::sched::internal

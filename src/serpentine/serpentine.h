@@ -9,7 +9,6 @@
 #include "serpentine/util/check.h"
 #include "serpentine/util/env.h"
 #include "serpentine/util/lrand48.h"
-#include "serpentine/util/retry.h"
 #include "serpentine/util/stats.h"
 #include "serpentine/util/status.h"
 #include "serpentine/util/statusor.h"

@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "serpentine/sched/registry.h"
 #include "serpentine/sim/serving_core.h"
 #include "serpentine/tsp/exact.h"
 #include "serpentine/util/check.h"
@@ -49,7 +48,6 @@ Status ValidateOnlineServerConfig(const OnlineServerConfig& config) {
         std::to_string(config.dispatch_max_wait_seconds));
   }
   SERPENTINE_RETURN_IF_ERROR(drive::ValidateFaultProfile(config.faults));
-  SERPENTINE_RETURN_IF_ERROR(ValidateRetryPolicy(config.fault_retry));
 
   if (config.dispatch_max_batch < 0) {
     return InvalidArgumentError(
@@ -85,31 +83,11 @@ Status ValidateOnlineServerConfig(const OnlineServerConfig& config) {
         "got " +
         std::to_string(config.admission.max_queue_depth));
   }
-  if (!std::isfinite(config.admission.slack) ||
-      config.admission.slack <= 0.0) {
+  if (config.degradation.enabled && config.degradation.queue_depth_step < 0) {
     return InvalidArgumentError(
-        "AdmissionPolicy: slack must be finite and > 0, got " +
-        std::to_string(config.admission.slack));
-  }
-  if (config.degradation.enabled) {
-    if (config.degradation.rungs.empty()) {
-      return InvalidArgumentError(
-          "DegradationPolicy: rungs must name at least one scheduler");
-    }
-    for (const std::string& rung : config.degradation.rungs) {
-      auto entry = sched::Registry::Default().Resolve(rung);
-      if (!entry.ok()) {
-        return AnnotateStatus(entry.status(),
-                              "DegradationPolicy: unknown rung '" + rung +
-                                  "'");
-      }
-    }
-    if (config.degradation.queue_depth_step < 0) {
-      return InvalidArgumentError(
-          "DegradationPolicy: queue_depth_step must be >= 0 (0 = "
-          "disabled), got " +
-          std::to_string(config.degradation.queue_depth_step));
-    }
+        "DegradationPolicy: queue_depth_step must be >= 0 (0 = disabled), "
+        "got " +
+        std::to_string(config.degradation.queue_depth_step));
   }
   if (config.breaker_enabled) {
     SERPENTINE_RETURN_IF_ERROR(drive::ValidateBreakerPolicy(config.breaker));
@@ -120,26 +98,16 @@ Status ValidateOnlineServerConfig(const OnlineServerConfig& config) {
   // from a refused build. Reject any config that can hand OPT a larger
   // batch. Only the dispatch cap bounds a batch below the stream length,
   // and only without an aging bound, whose forced boarding can exceed it.
+  // The degradation ladder holds no OPT rung and replaces the algorithm.
   int64_t max_batch = config.total_requests;
   if (config.dispatch_max_batch > 0 && config.max_wait_cycles == 0) {
     max_batch = std::min<int64_t>(max_batch, config.dispatch_max_batch);
   }
   if (max_batch > tsp::kMaxHeldKarpCities) {
-    std::string opt;  // the knob that selects OPT, if any
-    if (!config.degradation.enabled) {
-      if (config.algorithm == sched::Algorithm::kOpt) opt = "algorithm opt";
-    } else {
-      for (const std::string& rung : config.degradation.rungs) {
-        if (sched::Registry::Default().Find(rung)->algorithm ==
-            sched::Algorithm::kOpt) {
-          opt = "degradation rung '" + rung + "'";
-          break;
-        }
-      }
-    }
-    if (!opt.empty()) {
+    if (!config.degradation.enabled &&
+        config.algorithm == sched::Algorithm::kOpt) {
       return InvalidArgumentError(
-          "OnlineServerConfig: " + opt + " schedules at most " +
+          "OnlineServerConfig: algorithm opt schedules at most " +
           std::to_string(tsp::kMaxHeldKarpCities) +
           " requests per batch, but a batch can hold " +
           std::to_string(max_batch) + " (total_requests = " +

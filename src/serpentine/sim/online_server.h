@@ -24,7 +24,7 @@
 //     cycles, enforced by forcing over-aged requests into the next batch
 //     ahead of priority order;
 //   * a graceful-degradation ladder that steps the scheduler down
-//     (loss-mt-oropt → loss-mt → scan → fifo by default, via
+//     (kDegradationRungs: loss-mt-oropt → loss-mt → scan → fifo, via
 //     sched::Registry names) as queue depth crosses multiples of a step,
 //     recorded as an obs gauge;
 //   * a drive::HealthDrive circuit breaker over the fault stack, with
@@ -38,45 +38,42 @@
 #ifndef SERPENTINE_SIM_ONLINE_SERVER_H_
 #define SERPENTINE_SIM_ONLINE_SERVER_H_
 
+#include <array>
 #include <cstdint>
 #include <limits>
-#include <string>
 #include <vector>
 
 #include "serpentine/drive/health_drive.h"
 #include "serpentine/sched/scheduler.h"
 #include "serpentine/drive/fault_injector.h"
 #include "serpentine/tape/locate_model.h"
-#include "serpentine/util/retry.h"
 #include "serpentine/util/statusor.h"
 
 namespace serpentine::sim {
 
 /// Admission control: decide at arrival time whether a request can be
-/// served, and shed it with an explicit Status if not.
+/// served, and shed it with an explicit Status if not. A request that
+/// carries a finite deadline is shed with DeadlineExceeded when now +
+/// estimate exceeds that deadline, where the estimate is the FIFO
+/// completion time of (pending queue + request) from the drive's current
+/// head position.
 struct AdmissionPolicy {
   bool enabled = false;
   /// Queue-depth cap: arrivals finding this many requests already pending
   /// are shed with ResourceExhausted. 0 = unbounded.
   int max_queue_depth = 0;
-  /// Deadline feasibility margin: a request is shed with DeadlineExceeded
-  /// when now + slack * estimate exceeds its absolute deadline, where the
-  /// estimate is the FIFO completion time of (pending queue + request)
-  /// from the drive's current head position. slack > 1 sheds earlier
-  /// (conservative), < 1 admits optimistically. Only applies to requests
-  /// that carry a finite deadline.
-  double slack = 1.0;
 };
+
+/// The degradation ladder, best first, as sched::Registry names.
+inline constexpr std::array<const char*, 4> kDegradationRungs = {
+    "loss-mt-oropt", "loss-mt", "scan", "fifo"};
 
 /// Graceful degradation: trade schedule quality for scheduling cost as the
 /// backlog grows, instead of letting the scheduler itself become the
-/// bottleneck.
+/// bottleneck. When enabled, rung 0 of kDegradationRungs replaces
+/// OnlineServerConfig::algorithm as the baseline scheduler.
 struct DegradationPolicy {
   bool enabled = false;
-  /// The ladder, best first, as sched::Registry names. When enabled, rung
-  /// 0 replaces OnlineServerConfig::algorithm as the baseline scheduler.
-  std::vector<std::string> rungs = {"loss-mt-oropt", "loss-mt", "scan",
-                                    "fifo"};
   /// The ladder's only trigger, queue depth: each full multiple of this
   /// many pending requests steps one rung down (clamped to the last rung).
   /// 0 keeps every batch on rung 0.
@@ -109,8 +106,6 @@ struct OnlineServerConfig {
   /// fault stream is seeded from (faults.seed, seed), so replications
   /// decorrelate while staying deterministic for any thread count.
   drive::FaultProfile faults;
-  /// Retry/backoff policy used by the recovering executor under faults.
-  RetryPolicy fault_retry;
 
   /// Cap on requests dispatched per batch; the rest stay queued (and age).
   /// 0 = dispatch all pending. Over-aged requests (see max_wait_cycles)
@@ -204,9 +199,9 @@ struct OnlineServerResult {
 /// Rejects NaN/negative/inconsistent configurations with a descriptive
 /// status: a positive finite arrival rate, 1 <= total_requests < 2^32,
 /// dispatch_min_batch >= 1, dispatch_max_wait_seconds > 0 (inf allowed,
-/// NaN not), known degradation-rung names, valid nested fault, retry and
-/// breaker policies, and no OPT scheduler (the algorithm, or a rung) that
-/// a batch of more than tsp::kMaxHeldKarpCities requests can reach.
+/// NaN not), valid nested fault and breaker policies, and no OPT
+/// algorithm that a batch of more than tsp::kMaxHeldKarpCities requests
+/// can reach.
 Status ValidateOnlineServerConfig(const OnlineServerConfig& config);
 
 /// Runs the online server to completion (every arrival answered or shed).

@@ -1,5 +1,6 @@
 #include "serpentine/sim/recovering_executor.h"
 
+#include <cmath>
 #include <utility>
 
 #include "serpentine/obs/metrics.h"
@@ -78,8 +79,9 @@ class Ledger {
 
   /// The idle wait after `failures` failed attempts (>= 1), before the
   /// next one.
-  void Backoff(const RetryPolicy& policy, int failures) {
-    double backoff = BackoffSeconds(policy, failures - 1);
+  void Backoff(int failures) {
+    double backoff = std::ldexp(RecoveringExecutor::kFirstBackoffSeconds,
+                                failures - 1);
     NoteBackoff(elapsed_, backoff);
     Recover(backoff);
     ++r_->retries;
@@ -199,7 +201,7 @@ RecoveringExecutionResult RecoveringExecutor::Execute(
   std::vector<sched::Request> queue = schedule.order;
   size_t idx = 0;
   drive_->SetPosition(schedule.initial_position);
-  int reschedules_left = options_.max_reschedules;
+  int reschedules_left = kMaxReschedules;
   // The category sums (locate/read/recovery) are kept apart from the
   // ledger's op-order clock, so the zero-fault totals match
   // ExecuteSchedule's summation order exactly.
@@ -254,11 +256,11 @@ RecoveringExecutionResult RecoveringExecutor::Execute(
                      op.times.recovery_seconds);
       }
       ++attempt;
-      if (attempt >= options_.retry.max_attempts) {
+      if (attempt >= kMaxAttempts) {
         abandoned = true;
         break;
       }
-      ledger.Backoff(options_.retry, attempt);
+      ledger.Backoff(attempt);
     }
 
     // -------- read phase (with retries) --------
@@ -293,11 +295,11 @@ RecoveringExecutionResult RecoveringExecutor::Execute(
                      "recover.transient_read_errors",
                      op.times.recovery_seconds);
         ++attempt;
-        if (attempt >= options_.retry.max_attempts) {
+        if (attempt >= kMaxAttempts) {
           abandoned = true;
           break;
         }
-        ledger.Backoff(options_.retry, attempt);
+        ledger.Backoff(attempt);
       }
     }
 

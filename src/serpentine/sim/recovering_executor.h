@@ -1,6 +1,6 @@
 // Fault-tolerant schedule execution: runs a sched::Schedule against a
 // drive stack while faults (a FaultDrive decorator) perturb it, recovering
-// with a bounded retry-with-backoff policy and repairing the plan
+// with a fixed retry-with-backoff schedule and repairing the plan
 // mid-batch.
 //
 // Recovery semantics (see docs/robustness.md):
@@ -38,20 +38,11 @@
 #include "serpentine/sim/executor.h"
 #include "serpentine/drive/fault_injector.h"
 #include "serpentine/tape/locate_model.h"
-#include "serpentine/util/retry.h"
 
 namespace serpentine::sim {
 
-/// Tuning of the recovery machinery.
+/// Options of the recovery machinery.
 struct RecoveryOptions {
-  /// Per-operation bounded retry-with-backoff. Backoff is charged to the
-  /// virtual clock as recovery time (the drive sits idle between attempts).
-  RetryPolicy retry;
-  /// Mid-batch rescheduling budget per Execute() call: the remainder is
-  /// re-planned after a drive reset, a permanent error or a breaker
-  /// refusal. 0 disables rescheduling (recovery then continues the stale
-  /// order).
-  int max_reschedules = 8;
   /// Options forwarded to sched::BuildSchedule when rescheduling.
   sched::SchedulerOptions scheduler_options;
   /// Execution accounting options (same meaning as for ExecuteSchedule).
@@ -91,6 +82,17 @@ struct RecoveringExecutionResult : ExecutionResult {
 /// Executes schedules under fault injection with bounded recovery.
 class RecoveringExecutor {
  public:
+  /// Attempts per locate or read phase, the first included: a phase is
+  /// abandoned after kMaxAttempts faults.
+  static constexpr int kMaxAttempts = 4;
+  /// Retry r (r = 0 for the first) first waits kFirstBackoffSeconds * 2^r
+  /// with the drive idle, charged as recovery time: 0.5, 1 and 2 s.
+  static constexpr double kFirstBackoffSeconds = 0.5;
+  /// Mid-batch re-plans per Execute() call: the remainder is re-planned
+  /// after a drive reset, a permanent error or a breaker refusal until
+  /// this budget is spent, and then recovery continues the current order.
+  static constexpr int kMaxReschedules = 8;
+
   /// `drive` is the stateful execution stack — typically
   /// FaultDrive(ModelDrive(model)), but any stack works and a stack with
   /// no fault layer simply never needs recovery. `scheduling_model` is the

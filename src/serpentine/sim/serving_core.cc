@@ -153,10 +153,9 @@ ServingCore::ServingCore(std::vector<const tape::LocateModel*> models,
     drive_ = health_.get();
   }
 
-  // Degradation ladder, resolved once (validation guaranteed the names).
+  // Degradation ladder, resolved once.
   if (config_.degradation.enabled) {
-    rungs_.reserve(config_.degradation.rungs.size());
-    for (const std::string& name : config_.degradation.rungs) {
+    for (const char* name : kDegradationRungs) {
       rungs_.push_back(sched::Registry::Default().Find(name));
       SERPENTINE_CHECK(rungs_.back() != nullptr);
     }
@@ -253,8 +252,7 @@ bool ServingCore::AdmitDue() {
         // The FIFO completion estimate of the admitted queue plus `a`.
         FifoFold fold = PendingFold();
         Extend(fold, a.cartridge, a.segment);
-        double eta =
-            clock_ + config_.admission.slack * (fold.closed + fold.run);
+        double eta = clock_ + (fold.closed + fold.run);
         if (eta > a.deadline) {
           verdict = DeadlineExceededError(
               "admission: deadline at " + std::to_string(a.deadline) +
@@ -573,7 +571,6 @@ void ServingCore::ExecuteGroup(const std::vector<ServingRequest>& members,
     result_.drive_busy_seconds += lead;
   }
   RecoveryOptions recovery;
-  recovery.retry = config_.fault_retry;
   recovery.scheduler_options = config_.scheduler_options;
   RecoveringExecutor executor(*drive_, model, recovery);
   RecoveringExecutionResult res = executor.Execute(

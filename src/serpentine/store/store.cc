@@ -78,10 +78,15 @@ serpentine::StatusOr<FlushReport> TertiaryStore::Flush() {
   });
 
   for (int tape : tapes) {
-    SERPENTINE_RETURN_IF_ERROR(
-        FlushTape(tape, std::move(pending_by_tape_[tape]), &report));
+    Status flushed = FlushTape(tape, pending_by_tape_[tape], &report);
+    if (!flushed.ok()) {
+      // Lose no read: those served so far are reported by the next Flush,
+      // and this tape's and the later tapes' stay pending.
+      immediate_completions_ = std::move(report.completed);
+      return flushed;
+    }
+    pending_by_tape_.erase(tape);
   }
-  pending_by_tape_.clear();
 
   report.elapsed_seconds = library_.now(0) - start;
   double sum = 0.0;
@@ -97,9 +102,8 @@ serpentine::StatusOr<FlushReport> TertiaryStore::Flush() {
   return report;
 }
 
-serpentine::Status TertiaryStore::FlushTape(int tape,
-                                            std::vector<PendingRead> batch,
-                                            FlushReport* report) {
+serpentine::Status TertiaryStore::FlushTape(
+    int tape, const std::vector<PendingRead>& batch, FlushReport* report) {
   if (batch.empty()) return OkStatus();
   const tape::LocateModel& model = library_.model(tape);
 

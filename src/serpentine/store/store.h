@@ -82,7 +82,10 @@ class TertiaryStore {
 
   /// Mounts, schedules, and executes everything pending. Tapes with more
   /// pending requests are mounted first. Duplicate reads of one span are
-  /// answered oldest first.
+  /// answered oldest first. On an error (a cartridge held in another
+  /// drive, say) the tapes already flushed stay served and their reads
+  /// are reported by the next Flush; the failing tape's reads and those
+  /// of the tapes after it stay pending. Every read is reported once.
   serpentine::StatusOr<FlushReport> Flush();
 
   TapeLibrary& library() { return library_; }
@@ -99,8 +102,9 @@ class TertiaryStore {
 
   /// Mounts `tape`, schedules its batch and runs it through a
   /// sim::RecoveringExecutor over the mounted drive; appends completions
-  /// to `report`.
-  serpentine::Status FlushTape(int tape, std::vector<PendingRead> batch,
+  /// to `report`. Fails only before the first read.
+  serpentine::Status FlushTape(int tape,
+                               const std::vector<PendingRead>& batch,
                                FlushReport* report);
 
   StoreOptions options_;

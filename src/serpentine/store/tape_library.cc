@@ -90,16 +90,6 @@ int TapeLibrary::HolderOf(int tape) const {
   return -1;
 }
 
-void TapeLibrary::SetMountFaults(drive::FaultInjector* injector,
-                                 RetryPolicy retry) {
-  fault_injector_ = injector;
-  mount_retry_ = retry;
-}
-
-void TapeLibrary::EnableMountBreaker(const drive::BreakerPolicy& policy) {
-  mount_breaker_ = std::make_unique<drive::CircuitBreaker>(policy);
-}
-
 void TapeLibrary::WaitForRobot(DriveBay& b) {
   if (robot_free_at_ > b.clock_seconds) {
     // Queued behind another drive's exchange: stall this drive's clock to
@@ -114,12 +104,6 @@ void TapeLibrary::ReleaseRobot(const DriveBay& b) {
   ++robot_exchanges_;
 }
 
-double TapeLibrary::BreakerNow(const DriveBay& b) {
-  breaker_clock_ = std::max(
-      breaker_clock_, std::max(b.clock_seconds, robot_free_at_));
-  return breaker_clock_;
-}
-
 serpentine::Status TapeLibrary::Mount(int d, int tape) {
   SERPENTINE_RETURN_IF_ERROR(AnnotateStatus(ValidateTape(tape), "Mount"));
   DriveBay& b = bay(d);
@@ -131,74 +115,23 @@ serpentine::Status TapeLibrary::Mount(int d, int tape) {
         " is already mounted in drive " + std::to_string(holder));
   }
 
-  // A tripped mount breaker fails fast before any robot motion: no clock
-  // spend, no fault draws, and the current cartridge stays mounted. The
-  // caller can Idle() out the cooldown (reported in the message) or route
-  // the request to another library.
-  if (mount_breaker_ != nullptr) {
-    double retry_after = 0.0;
-    if (!mount_breaker_->Admit(BreakerNow(b), &retry_after)) {
-      ++mount_fast_fails_;
-      obs::IncrementCounter("library.mount_fast_fails");
-      return UnavailableError(
-          "Mount: mount breaker open for cartridge " + std::to_string(tape) +
-          "; retry after " + std::to_string(retry_after) + "s");
-    }
-  }
-
   if (b.mounted >= 0) SERPENTINE_RETURN_IF_ERROR(Unmount(d));
 
-  // The robot exchange + load may fail under fault injection; each failed
-  // attempt costs a robot re-pick plus the policy's backoff before trying
-  // again. The whole exchange (failed attempts included) is one virtual
-  // "mount" span in the library category, and one robot occupation: a
-  // concurrent exchange on another drive queues until this one resolves.
+  // The robot exchange + load is one virtual "mount" span in the library
+  // category, and one robot occupation: a concurrent exchange on another
+  // drive queues until this one is done.
   WaitForRobot(b);
   double mount_start = b.clock_seconds;
-  int attempts = std::max(1, mount_retry_.max_attempts);
-  for (int attempt = 0; attempt < attempts; ++attempt) {
-    if (fault_injector_ != nullptr && fault_injector_->DrawMountFault()) {
-      ++mount_retries_;
-      obs::IncrementCounter("library.mount_retries");
-      obs::TraceInstant(obs::TraceClock::kVirtual, "library", "mount-fault",
-                        b.clock_seconds);
-      Spend(b, fault_injector_->profile().mount_retry_seconds);
-      if (mount_breaker_ != nullptr) {
-        mount_breaker_->RecordFailure(BreakerNow(b));
-        // The breaker may have tripped mid-exchange; abandon the remaining
-        // attempts immediately rather than drawing against a robot the
-        // breaker has just condemned.
-        if (mount_breaker_->state() == drive::BreakerState::kOpen) {
-          ReleaseRobot(b);
-          return UnavailableError(
-              "Mount: mount breaker tripped open after " +
-              std::to_string(attempt + 1) + " failed attempts on cartridge " +
-              std::to_string(tape));
-        }
-      }
-      if (attempt + 1 < attempts) {
-        Spend(b, BackoffSeconds(mount_retry_, attempt));
-      }
-      continue;
-    }
-    Spend(b, kRobotExchangeSeconds + kLoadSeconds);
-    b.mounted = tape;
-    b.head = std::make_unique<Head>(*models_[tape], &b);
-    ++total_mounts_;
-    ReleaseRobot(b);
-    if (mount_breaker_ != nullptr) {
-      mount_breaker_->RecordSuccess(BreakerNow(b));
-    }
-    obs::IncrementCounter("library.mounts");
-    obs::TraceComplete(obs::TraceClock::kVirtual, "library",
-                       "mount:" + std::to_string(tape), mount_start,
-                       b.clock_seconds);
-    return OkStatus();
-  }
+  Spend(b, kRobotExchangeSeconds + kLoadSeconds);
+  b.mounted = tape;
+  b.head = std::make_unique<Head>(*models_[tape], &b);
+  ++total_mounts_;
   ReleaseRobot(b);
-  return ResourceExhaustedError(
-      "Mount: robot failed to mount cartridge " + std::to_string(tape) +
-      " after " + std::to_string(attempts) + " attempts");
+  obs::IncrementCounter("library.mounts");
+  obs::TraceComplete(obs::TraceClock::kVirtual, "library",
+                     "mount:" + std::to_string(tape), mount_start,
+                     b.clock_seconds);
+  return OkStatus();
 }
 
 serpentine::Status TapeLibrary::Unmount(int d) {

@@ -14,11 +14,8 @@
 #include <memory>
 #include <vector>
 
-#include "serpentine/drive/fault_injector.h"
-#include "serpentine/drive/health_drive.h"
 #include "serpentine/drive/model_drive.h"
 #include "serpentine/tape/locate_model.h"
-#include "serpentine/util/retry.h"
 #include "serpentine/util/status.h"
 
 namespace serpentine::store {
@@ -77,38 +74,13 @@ class TapeLibrary {
   /// Library-wide virtual time: the most advanced drive clock.
   double now() const;
 
-  /// Attaches a fault process to the robot/drive exchange: each mount
-  /// attempt may fail (FaultProfile::mount_failure_rate) and is retried
-  /// with backoff per `retry`; every failed attempt costs the profile's
-  /// mount_retry_seconds plus the backoff on the virtual clock. Pass
-  /// nullptr to detach. The injector is borrowed, not owned, and shared by
-  /// every drive (one robot, one fault process).
-  void SetMountFaults(drive::FaultInjector* injector, RetryPolicy retry = {});
-
-  /// Arms a circuit breaker over the robot/drive exchange: every mount
-  /// attempt's outcome feeds the breaker's rolling window, and while it is
-  /// open Mount() fails fast with Unavailable — no robot motion, no clock
-  /// spend, no fault draws — instead of burning a full retry schedule
-  /// against a robot that keeps dropping cartridges. The breaker runs on
-  /// the library's virtual clock (monotone across drives), so Idle() (or
-  /// any clocked work) ages the cooldown. `policy` must pass
-  /// ValidateBreakerPolicy (checked).
-  void EnableMountBreaker(const drive::BreakerPolicy& policy);
-  void DisableMountBreaker() { mount_breaker_.reset(); }
-  /// The armed breaker, or nullptr.
-  const drive::CircuitBreaker* mount_breaker() const {
-    return mount_breaker_.get();
-  }
-
   /// Mounts cartridge `tape` into drive `d` (unmounting that drive's
   /// current cartridge first: rewind, unload, robot exchange, load). No-op
   /// if already mounted there; FailedPrecondition if another drive holds
   /// it. The head is at segment 0 after a fresh mount. The robot section
-  /// (exchange + load, failed attempts included) is serialized against the
-  /// other drives' exchanges: if the robot is mid-exchange elsewhere, drive
-  /// `d` first waits (robot_wait_seconds). Under an attached fault process
-  /// the mount is retried with backoff; exhausting the retry budget returns
-  /// ResourceExhausted with the cartridge and attempt count in the message.
+  /// (exchange + load) is serialized against the other drives' exchanges:
+  /// if the robot is mid-exchange elsewhere, drive `d` first waits
+  /// (robot_wait_seconds).
   serpentine::Status Mount(int d, int tape);
   serpentine::Status Mount(int tape) { return Mount(0, tape); }
 
@@ -122,10 +94,6 @@ class TapeLibrary {
 
   /// Lifetime counters (library-wide).
   int64_t total_mounts() const { return total_mounts_; }
-  /// Failed robot/load attempts that were retried (fault injection only).
-  int64_t mount_retries() const { return mount_retries_; }
-  /// Mounts refused fast by an open mount breaker.
-  int64_t mount_fast_fails() const { return mount_fast_fails_; }
   /// Completed robot occupations (mount and unmount exchanges).
   int64_t robot_exchanges() const { return robot_exchanges_; }
   /// Seconds drives spent queued for the shared robot (not busy time).
@@ -192,9 +160,6 @@ class TapeLibrary {
   void WaitForRobot(DriveBay& b);
   /// Releases the robot at drive `b`'s current clock.
   void ReleaseRobot(const DriveBay& b);
-  /// Monotone library-wide time for the mount breaker (a drive's clock may
-  /// trail another's; the breaker contract requires non-decreasing `now`).
-  double BreakerNow(const DriveBay& b);
 
   std::vector<std::unique_ptr<tape::LocateModel>> models_;
   std::vector<DriveBay> bays_;
@@ -203,12 +168,6 @@ class TapeLibrary {
   double robot_wait_seconds_ = 0.0;
   int64_t robot_exchanges_ = 0;
   int64_t total_mounts_ = 0;
-  int64_t mount_retries_ = 0;
-  drive::FaultInjector* fault_injector_ = nullptr;  // borrowed; may be null
-  RetryPolicy mount_retry_;
-  std::unique_ptr<drive::CircuitBreaker> mount_breaker_;  // null = disarmed
-  double breaker_clock_ = 0.0;
-  int64_t mount_fast_fails_ = 0;
 };
 
 }  // namespace serpentine::store

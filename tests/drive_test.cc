@@ -55,14 +55,6 @@ TEST(OpStatusTest, NamesAreStable) {
                "permanent-media");
 }
 
-TEST(OpStatusTest, OnlySoftFaultsAreRetryable) {
-  EXPECT_FALSE(IsRetryable(OpStatus::kOk));
-  EXPECT_TRUE(IsRetryable(OpStatus::kTransientReadError));
-  EXPECT_TRUE(IsRetryable(OpStatus::kLocateOvershoot));
-  EXPECT_TRUE(IsRetryable(OpStatus::kDriveReset));
-  EXPECT_FALSE(IsRetryable(OpStatus::kPermanentMediaError));
-}
-
 TEST(OpTimesTest, TotalSumsAllPhases) {
   OpTimes t;
   t.locate_seconds = 1.0;
@@ -360,7 +352,6 @@ TEST_F(DriveTest, FaultDrivePermanentErrorIsSticky) {
 
   OpResult r = faulty.ReadSegments(3000, 3000);
   EXPECT_EQ(r.status, OpStatus::kPermanentMediaError);
-  EXPECT_FALSE(IsRetryable(r.status));
   EXPECT_EQ(r.times.recovery_seconds, profile.reread_overhead_seconds);
   EXPECT_TRUE(injector.IsBadSegment(3000));
   // Sticky: the same span fails again.

@@ -30,7 +30,6 @@
 #include "serpentine/tape/locate_model.h"
 #include "serpentine/util/check.h"
 #include "serpentine/util/lrand48.h"
-#include "serpentine/util/retry.h"
 
 namespace serpentine::sim::reference {
 
@@ -54,8 +53,6 @@ struct QueueSimConfig {
   /// batches through the RecoveringExecutor. The fault stream is seeded
   /// from (faults.seed, seed).
   drive::FaultProfile faults;
-  /// Retry/backoff policy used by the recovering executor under faults.
-  RetryPolicy fault_retry;
 };
 
 struct QueueSimResult {
@@ -206,7 +203,6 @@ inline QueueSimResult RunQueueSimulation(const tape::LocateModel& model,
       // resets, mid-batch rescheduling) against the shared fault stack and
       // stamps completions as it goes.
       RecoveryOptions recovery;
-      recovery.retry = config.fault_retry;
       recovery.scheduler_options = config.scheduler_options;
       RecoveringExecutor executor(drive, model, recovery);
       double base = clock;

@@ -318,22 +318,6 @@ TEST_F(AlgorithmsTestBase, SltfConsumesSectionsInOrder) {
   }
 }
 
-TEST_F(AlgorithmsTestBase, SltfCoalescedVariantIsValidAndComparable) {
-  Lrand48 rng(29);
-  SchedulerOptions coalesced;
-  coalesced.sltf_coalesce_threshold = kDefaultCoalesceThreshold;
-  SegmentId initial = rng.NextBounded(total());
-  std::vector<Request> requests = RandomRequests(128, rng);
-  auto plain = BuildSchedule(model_, initial, requests, Algorithm::kSltf);
-  auto merged =
-      BuildSchedule(model_, initial, requests, Algorithm::kSltf, coalesced);
-  ASSERT_TRUE(plain.ok());
-  ASSERT_TRUE(merged.ok());
-  EXPECT_TRUE(IsPermutationOfRequests(*merged, requests));
-  // Paper: schedule quality is not highly sensitive to coalescing.
-  EXPECT_LT(Cost(*merged), Cost(*plain) * 1.25);
-}
-
 // ---------------------------------------------------------------------------
 // SCAN: the paper's worked example (§4).
 // ---------------------------------------------------------------------------

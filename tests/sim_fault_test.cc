@@ -17,11 +17,9 @@ namespace serpentine::sim {
 
 // The fault subsystem lives in drive/ since PR 3; pull the names these
 // tests predate the move with into scope.
-using drive::ClassifyFault;
 using drive::FaultInjector;
 using drive::FaultProfile;
 using drive::FaultType;
-using drive::FaultTypeName;
 using drive::LoadFaultProfile;
 using drive::ValidateFaultProfile;
 namespace {
@@ -67,22 +65,10 @@ TEST(FaultProfileTest, ScaledClampsRatesToProbabilities) {
   EXPECT_LE(p.locate_overshoot_rate, 1.0);
   EXPECT_LE(p.drive_reset_rate, 1.0);
   EXPECT_LE(p.permanent_error_rate, 1.0);
-  EXPECT_LE(p.mount_failure_rate, 1.0);
   EXPECT_FALSE(FaultProfile::Heavy().Scaled(0.0).any());
   // Timings and seed are untouched by scaling.
   EXPECT_DOUBLE_EQ(p.reset_seconds, FaultProfile::Heavy().reset_seconds);
   EXPECT_EQ(p.seed, FaultProfile::Heavy().seed);
-}
-
-TEST(FaultProfileTest, ClassifiesOnlyMediaErrorsAsPermanent) {
-  EXPECT_EQ(ClassifyFault(FaultType::kPermanentMediaError),
-            ErrorClass::kPermanent);
-  EXPECT_EQ(ClassifyFault(FaultType::kTransientReadError),
-            ErrorClass::kRetryable);
-  EXPECT_EQ(ClassifyFault(FaultType::kLocateOvershoot),
-            ErrorClass::kRetryable);
-  EXPECT_EQ(ClassifyFault(FaultType::kDriveReset), ErrorClass::kRetryable);
-  EXPECT_EQ(ClassifyFault(FaultType::kRobotFault), ErrorClass::kRetryable);
 }
 
 TEST(FaultProfileTest, LoadsNamedProfiles) {
@@ -119,12 +105,21 @@ TEST(FaultProfileTest, LoadsKeyValueFile) {
 }
 
 TEST(FaultProfileTest, RejectsUnknownKeysAndMissingFiles) {
-  std::string path = testing::TempDir() + "/bad_profile.conf";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  ASSERT_NE(f, nullptr);
-  std::fputs("blorp_rate = 0.5\n", f);
-  std::fclose(f);
-  EXPECT_FALSE(LoadFaultProfile(path).ok());
+  // The robot keys are not profile fields (robot faults are not modelled),
+  // so a profile naming them is refused like any other unknown key.
+  for (const char* line : {"blorp_rate = 0.5\n", "mount_failure_rate = 0.1\n",
+                           "mount_retry_seconds = 20\n"}) {
+    std::string path = testing::TempDir() + "/bad_profile.conf";
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    std::fputs(line, f);
+    std::fclose(f);
+    auto profile = LoadFaultProfile(path);
+    ASSERT_FALSE(profile.ok()) << line;
+    EXPECT_NE(profile.status().message().find("unknown fault profile key"),
+              std::string::npos)
+        << profile.status().ToString();
+  }
   EXPECT_FALSE(LoadFaultProfile("/no/such/file").ok());
 }
 
@@ -158,7 +153,6 @@ TEST(FaultInjectorTest, SameSeedSameStream) {
   for (int i = 0; i < 200; ++i) {
     EXPECT_EQ(a.DrawLocateFault(), b.DrawLocateFault());
     EXPECT_EQ(a.DrawReadFault(i), b.DrawReadFault(i));
-    EXPECT_EQ(a.DrawMountFault(), b.DrawMountFault());
     EXPECT_EQ(a.OvershootTarget(g, 1000 + i), b.OvershootTarget(g, 1000 + i));
   }
   EXPECT_EQ(a.faults_injected(), b.faults_injected());
@@ -183,11 +177,12 @@ TEST(FaultInjectorTest, StickyBadSegmentsConsumeNoDraw) {
   EXPECT_TRUE(a.IsBadSegment(42));
   // Re-reading the bad segment must not advance the stream: after one extra
   // sticky hit, `a` still agrees with `b` (which never re-read) on the
-  // subsequent mount draws.
+  // subsequent overshoot draws.
   EXPECT_EQ(a.DrawReadFault(42), FaultType::kPermanentMediaError);
   EXPECT_EQ(b.DrawReadFault(42), FaultType::kPermanentMediaError);
+  TapeGeometry g = TapeGeometry::Generate(Dlt4000TapeParams(), 1);
   for (int i = 0; i < 20; ++i) {
-    EXPECT_EQ(a.DrawMountFault(), b.DrawMountFault());
+    EXPECT_EQ(a.OvershootTarget(g, 1000 + i), b.OvershootTarget(g, 1000 + i));
   }
 }
 
@@ -210,7 +205,6 @@ TEST(FaultInjectorTest, ZeroProfileNeverInjects) {
   for (int i = 0; i < 200; ++i) {
     EXPECT_EQ(injector.DrawLocateFault(), FaultType::kNone);
     EXPECT_EQ(injector.DrawReadFault(i), FaultType::kNone);
-    EXPECT_FALSE(injector.DrawMountFault());
   }
   EXPECT_EQ(injector.faults_injected(), 0);
 }
@@ -429,22 +423,45 @@ TEST_F(FaultTest, PermanentMediaErrorsAreSkippedAndReported) {
 }
 
 TEST_F(FaultTest, RetryExhaustionAbandonsUnderPureTransients) {
+  ASSERT_EQ(RecoveringExecutor::kMaxAttempts, 4);
+  ASSERT_EQ(RecoveringExecutor::kFirstBackoffSeconds, 0.5);
   FaultProfile profile;
   profile.transient_read_rate = 1.0;  // every read attempt fails
   FaultInjector injector(profile);
-  RecoveryOptions options;
-  options.retry.max_attempts = 3;
   auto schedule = BuildSchedule(model_, 0, UniformBatch(6, 19),
                                 Algorithm::kLoss);
   ASSERT_TRUE(schedule.ok());
+  // Each request locates once, then fails 4 read passes with a wait of
+  // 0.5, 1 and 2 s between them, all charged in that order. A twin drive
+  // replays the locates: a failed pass leaves the head at the span start.
+  drive::ModelDrive twin(model_, schedule->initial_position);
+  double fault_sum = 0.0;
+  int steps = 0;
   RecoveringExecutionResult r =
-      RecoveringExecutor(model_, &injector, options).Execute(*schedule);
+      RecoveringExecutor(model_, &injector)
+          .Execute(*schedule,
+                   [&](const Request& req, double, double step, bool ok) {
+                     ++steps;
+                     EXPECT_FALSE(ok);
+                     double pass = profile.reread_overhead_seconds +
+                                   model_.ReadSeconds(req.segment, req.last());
+                     double expected =
+                         twin.Locate(req.segment).times.locate_seconds;
+                     for (double backoff : {0.5, 1.0, 2.0}) {
+                       expected += pass;
+                       expected += backoff;
+                     }
+                     expected += pass;
+                     EXPECT_EQ(step, expected) << "request " << steps;
+                     fault_sum += 4 * pass;
+                   });
+  EXPECT_EQ(steps, 6);
   EXPECT_EQ(r.requests_serviced, 0);
   EXPECT_EQ(r.abandoned_segments.size(), 6u);
-  // Each request burned max_attempts passes, max_attempts - 1 backoffs.
-  EXPECT_EQ(r.transient_read_errors, 6 * 3);
-  EXPECT_EQ(r.retries, 6 * 2);
-  EXPECT_GT(r.recovery_seconds, 0.0);
+  // Each request burned 4 passes and 3 backoffs.
+  EXPECT_EQ(r.transient_read_errors, 6 * 4);
+  EXPECT_EQ(r.retries, 6 * 3);
+  EXPECT_NEAR(r.recovery_seconds - fault_sum, 6 * (0.5 + 1.0 + 2.0), 1e-9);
 }
 
 TEST_F(FaultTest, DriveResetStormTerminates) {
@@ -454,34 +471,17 @@ TEST_F(FaultTest, DriveResetStormTerminates) {
   auto schedule = BuildSchedule(model_, 0, UniformBatch(8, 23),
                                 Algorithm::kLoss);
   ASSERT_TRUE(schedule.ok());
-  RecoveryOptions options;
-  options.max_reschedules = 4;
   RecoveringExecutionResult r =
-      RecoveringExecutor(model_, &injector, options).Execute(*schedule);
+      RecoveringExecutor(model_, &injector).Execute(*schedule);
   // The plan can never progress; the executor must still come back with
-  // every request accounted for and the reschedule budget respected.
+  // every request accounted for. Each reset re-plans until the budget of
+  // 8 is spent; from then on resets burn the retry budget.
   EXPECT_EQ(r.requests_serviced, 0);
   EXPECT_EQ(r.abandoned_segments.size(), 8u);
-  EXPECT_LE(r.reschedules, 4);
+  EXPECT_EQ(r.reschedules, RecoveringExecutor::kMaxReschedules);
+  EXPECT_EQ(RecoveringExecutor::kMaxReschedules, 8);
   EXPECT_GT(r.drive_resets, 0);
   EXPECT_EQ(r.final_position, 0);  // the last reset left the head at BOT
-}
-
-TEST_F(FaultTest, ReschedulingCanBeDisabled) {
-  FaultProfile profile;
-  profile.permanent_error_rate = 0.3;
-  FaultInjector injector(profile);
-  RecoveryOptions options;
-  options.max_reschedules = 0;
-  auto schedule = BuildSchedule(model_, 0, UniformBatch(32, 29),
-                                Algorithm::kLoss);
-  ASSERT_TRUE(schedule.ok());
-  RecoveringExecutionResult r =
-      RecoveringExecutor(model_, &injector, options).Execute(*schedule);
-  EXPECT_EQ(r.reschedules, 0);
-  EXPECT_EQ(r.requests_serviced +
-                static_cast<int64_t>(r.abandoned_segments.size()),
-            32);
 }
 
 TEST_F(FaultTest, TransientFaultsOnlyAddTime) {
@@ -492,13 +492,14 @@ TEST_F(FaultTest, TransientFaultsOnlyAddTime) {
   FaultProfile profile;
   profile.transient_read_rate = 0.2;
   FaultInjector injector(profile);
-  RecoveryOptions options;
-  options.retry.max_attempts = 12;  // exhaustion essentially impossible
   RecoveringExecutionResult r =
-      RecoveringExecutor(model_, &injector, options).Execute(*schedule);
+      RecoveringExecutor(model_, &injector).Execute(*schedule);
   // Transient read errors retry in place: the service order and head
   // motion are untouched, so the useful work is identical and the faults
-  // only add recovery time on top.
+  // only add recovery time on top. A request is abandoned only after 4
+  // failed passes in a row (0.2^4 per request); this stream has none.
+  EXPECT_GT(r.transient_read_errors, 0);
+  EXPECT_TRUE(r.abandoned_segments.empty());
   EXPECT_EQ(r.locate_seconds, plain.locate_seconds);
   EXPECT_EQ(r.read_seconds, plain.read_seconds);
   EXPECT_EQ(r.requests_serviced, 32);

@@ -21,11 +21,9 @@ namespace serpentine::sim {
 
 // The fault subsystem lives in drive/ since PR 3; pull the names these
 // tests predate the move with into scope.
-using drive::ClassifyFault;
 using drive::FaultInjector;
 using drive::FaultProfile;
 using drive::FaultType;
-using drive::FaultTypeName;
 using drive::LoadFaultProfile;
 using drive::ValidateFaultProfile;
 namespace {
@@ -47,7 +45,6 @@ class OnlineServerTest : public ::testing::Test {
     base.dispatch_max_wait_seconds = config.dispatch_max_wait_seconds;
     base.seed = config.seed;
     base.faults = config.faults;
-    base.fault_retry = config.fault_retry;
     return base;
   }
 
@@ -248,7 +245,6 @@ TEST_F(OnlineServerTest, DegradationLadderStepsDownUnderBacklog) {
   config.total_requests = 200;
   config.arrival_rate_per_hour = 400.0;
   config.degradation.enabled = true;
-  config.degradation.rungs = {"loss", "scan", "fifo"};
   config.degradation.queue_depth_step = 12;
   StatusOr<OnlineServerResult> r = RunOnlineServer(model_, config);
   ASSERT_TRUE(r.ok());
@@ -256,7 +252,7 @@ TEST_F(OnlineServerTest, DegradationLadderStepsDownUnderBacklog) {
   EXPECT_GT(r->degraded_batches, 0);
   EXPECT_GE(r->degradation_max_rung, 1);
   EXPECT_LE(r->degradation_max_rung,
-            static_cast<int>(config.degradation.rungs.size()) - 1);
+            static_cast<int>(kDegradationRungs.size()) - 1);
 }
 
 TEST_F(OnlineServerTest, BreakerCycleExercisedDeterministically) {
@@ -546,23 +542,7 @@ TEST_F(OnlineServerTest, ValidateRejectsGarbageConfigs) {
   EXPECT_FALSE(ValidateOnlineServerConfig(c).ok());
 
   c = ok;
-  c.admission.enabled = true;
-  c.admission.slack = 0.0;
-  EXPECT_FALSE(ValidateOnlineServerConfig(c).ok());
-
-  c = ok;
-  c.degradation.enabled = true;
-  c.degradation.rungs = {"loss", "no-such-scheduler"};
-  Status bad_rung = ValidateOnlineServerConfig(c);
-  EXPECT_EQ(bad_rung.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(bad_rung.message().find("no-such-scheduler"), std::string::npos);
-
-  c = ok;
   c.faults.transient_read_rate = 1.5;
-  EXPECT_FALSE(ValidateOnlineServerConfig(c).ok());
-
-  c = ok;
-  c.fault_retry.backoff_multiplier = std::nan("");
   EXPECT_FALSE(ValidateOnlineServerConfig(c).ok());
 
   c = ok;
@@ -589,14 +569,10 @@ TEST_F(OnlineServerTest, OptBatchesStayWithinTheHeldKarpLimit) {
         << named << " missing from: " << s.message();
   }
 
-  // A degradation ladder with an OPT rung is the same hazard.
+  // The degradation ladder replaces the algorithm and has no OPT rung.
   OnlineServerConfig ladder = opt;
-  ladder.algorithm = sched::Algorithm::kLoss;
   ladder.degradation.enabled = true;
-  ladder.degradation.rungs = {"opt", "fifo"};
-  Status l = ValidateOnlineServerConfig(ladder);
-  EXPECT_EQ(l.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(l.message().find("'opt'"), std::string::npos) << l.message();
+  EXPECT_TRUE(ValidateOnlineServerConfig(ladder).ok());
 
   // Under an aging bound, forced boarding can exceed the dispatch cap.
   OnlineServerConfig aged = opt;

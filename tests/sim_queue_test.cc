@@ -14,11 +14,9 @@ namespace serpentine::sim {
 
 // The fault subsystem lives in drive/ since PR 3; pull the names these
 // tests predate the move with into scope.
-using drive::ClassifyFault;
 using drive::FaultInjector;
 using drive::FaultProfile;
 using drive::FaultType;
-using drive::FaultTypeName;
 using drive::LoadFaultProfile;
 using drive::ValidateFaultProfile;
 namespace {

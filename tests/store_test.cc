@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <vector>
 
 #include "serpentine/store/segment_cache.h"
 #include "serpentine/store/tape_library.h"
@@ -171,116 +172,6 @@ TEST_F(TapeLibraryTest, ErrorsNameTheOperationAndValues) {
   EXPECT_NE(unmounted.message().find("3 cartridges"), std::string::npos);
 }
 
-TEST_F(TapeLibraryTest, MountRetriesUnderRobotFaults) {
-  drive::FaultProfile profile;
-  profile.mount_failure_rate = 0.5;
-  drive::FaultInjector injector(profile);
-  library_.SetMountFaults(&injector);
-  int64_t mounts = 0, retries_seen = 0;
-  double clean_mount_cost = 15.0 + 40.0;
-  for (int tape = 0; tape < 200 && library_.mount_retries() < 5; ++tape) {
-    double before = library_.now();
-    Status s = library_.Mount(tape % 3);
-    if (!s.ok()) {
-      EXPECT_EQ(s.code(), StatusCode::kResourceExhausted);
-      EXPECT_NE(s.message().find("Mount"), std::string::npos);
-      retries_seen = library_.mount_retries();
-      continue;
-    }
-    ++mounts;
-    if (library_.mount_retries() > retries_seen) {
-      // A retried mount paid the robot re-pick plus backoff on top of the
-      // clean exchange cost.
-      EXPECT_GT(library_.now() - before, clean_mount_cost);
-      retries_seen = library_.mount_retries();
-    }
-  }
-  EXPECT_GT(mounts, 0);
-  EXPECT_GT(library_.mount_retries(), 0);
-}
-
-TEST_F(TapeLibraryTest, MountExhaustionReturnsResourceExhausted) {
-  drive::FaultProfile profile;
-  profile.mount_failure_rate = 1.0;  // the robot never succeeds
-  drive::FaultInjector injector(profile);
-  RetryPolicy retry;
-  retry.max_attempts = 3;
-  library_.SetMountFaults(&injector, retry);
-  Status s = library_.Mount(0);
-  EXPECT_EQ(s.code(), StatusCode::kResourceExhausted);
-  EXPECT_NE(s.message().find("3 attempts"), std::string::npos);
-  EXPECT_EQ(library_.mounted(), -1);
-  EXPECT_EQ(library_.mount_retries(), 3);
-  // Detaching the injector restores infallible mounts.
-  library_.SetMountFaults(nullptr);
-  EXPECT_TRUE(library_.Mount(0).ok());
-}
-
-TEST_F(TapeLibraryTest, MountFaultsAreDeterministic) {
-  auto run = [] {
-    TapeLibrary library(Dlt4000TapeParams(), 3, Dlt4000Timings());
-    drive::FaultProfile p;
-    p.mount_failure_rate = 0.4;
-    drive::FaultInjector injector(p);
-    library.SetMountFaults(&injector);
-    for (int i = 0; i < 40; ++i) (void)library.Mount(i % 3);
-    return std::pair<double, int64_t>(library.now(),
-                                      library.mount_retries());
-  };
-  auto a = run();
-  auto b = run();
-  EXPECT_EQ(a.first, b.first);
-  EXPECT_EQ(a.second, b.second);
-}
-
-TEST_F(TapeLibraryTest, MountBreakerFailsFastAndRecovers) {
-  drive::FaultProfile profile;
-  profile.mount_failure_rate = 1.0;  // the robot always drops the cartridge
-  drive::FaultInjector injector(profile);
-  RetryPolicy retry;
-  retry.max_attempts = 4;
-  library_.SetMountFaults(&injector, retry);
-
-  drive::BreakerPolicy policy;
-  policy.window_ops = 4;
-  policy.failure_threshold = 2;
-  policy.cooldown_seconds = 300.0;
-  policy.half_open_successes = 1;
-  library_.EnableMountBreaker(policy);
-  ASSERT_NE(library_.mount_breaker(), nullptr);
-
-  // The breaker trips mid-exchange on the second failed attempt and aborts
-  // the remaining retry budget instead of burning it.
-  Status tripped = library_.Mount(0);
-  EXPECT_EQ(tripped.code(), StatusCode::kUnavailable);
-  EXPECT_NE(tripped.message().find("tripped open"), std::string::npos);
-  EXPECT_EQ(library_.mount_breaker()->state(), drive::BreakerState::kOpen);
-  EXPECT_EQ(library_.mount_retries(), 2);  // not the full 4 attempts
-
-  // While open, mounts fail fast: Unavailable with the cooldown named, no
-  // robot motion, no clock spend, no fault draws.
-  double before = library_.now();
-  Status refused = library_.Mount(1);
-  EXPECT_EQ(refused.code(), StatusCode::kUnavailable);
-  EXPECT_NE(refused.message().find("retry after"), std::string::npos);
-  EXPECT_DOUBLE_EQ(library_.now(), before);
-  EXPECT_EQ(library_.mount_fast_fails(), 1);
-  EXPECT_EQ(library_.mount_retries(), 2);  // untouched: no attempt was made
-
-  // Idling past the cooldown half-opens the breaker; once the robot is
-  // healthy again the probe mount succeeds and closes it.
-  library_.Idle(policy.cooldown_seconds + 1.0);
-  library_.SetMountFaults(nullptr);
-  EXPECT_TRUE(library_.Mount(0).ok());
-  EXPECT_EQ(library_.mount_breaker()->state(), drive::BreakerState::kClosed);
-  EXPECT_EQ(library_.mounted(), 0);
-
-  // Disarming restores the plain retry path.
-  library_.DisableMountBreaker();
-  EXPECT_EQ(library_.mount_breaker(), nullptr);
-  EXPECT_TRUE(library_.Mount(1).ok());
-}
-
 // ---------------------------------------------------------------------------
 // TertiaryStore.
 // ---------------------------------------------------------------------------
@@ -372,6 +263,46 @@ TEST(TertiaryStoreTest, StampsWithTheFlushingDrivesClock) {
   }
   EXPECT_EQ(report->max_response_seconds, latest);
   EXPECT_DOUBLE_EQ(report->mean_response_seconds, sum / 12);
+}
+
+TEST(TertiaryStoreTest, FailedFlushLosesNoRead) {
+  // Bay 1 holds cartridge 2, so a flush on bay 0 cannot mount it. The
+  // flush serves cartridge 0 (the busiest) and then fails on cartridge 2;
+  // no read may be lost on the way.
+  TertiaryStore store({}, TapeLibrary(Dlt4000TapeParams(), 3, Dlt4000Timings(),
+                                      /*first_seed=*/1, /*drives=*/2));
+  ASSERT_TRUE(store.library().Mount(1, 2).ok());
+  std::vector<uint64_t> ids;
+  for (auto [tape, segment] :
+       {std::pair<int, SegmentId>{0, 1000}, {0, 50000}, {0, 90000},
+        {2, 2000}, {2, 70000}, {1, 30000}}) {
+    auto id = store.SubmitRead(tape, segment);
+    ASSERT_TRUE(id.ok());
+    ids.push_back(*id);
+  }
+  auto failed = store.Flush();
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_GT(store.library().now(0), 0.0);  // cartridge 0 was served
+  EXPECT_EQ(store.pending(), 3u);          // cartridges 2 and 1 were not
+
+  // Once bay 1 lets cartridge 2 go, the next flush reports every read
+  // exactly once: cartridge 0's from the failed flush, the rest now.
+  ASSERT_TRUE(store.library().Unmount(1).ok());
+  auto report = store.Flush();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  std::vector<uint64_t> reported;
+  for (const CompletedRead& c : report->completed) {
+    EXPECT_FALSE(c.cache_hit);
+    EXPECT_GT(c.complete_seconds, c.submit_seconds);
+    reported.push_back(c.id);
+  }
+  std::sort(reported.begin(), reported.end());
+  EXPECT_EQ(reported, ids);
+  EXPECT_EQ(store.pending(), 0u);
+  auto empty = store.Flush();
+  ASSERT_TRUE(empty.ok());
+  EXPECT_TRUE(empty->completed.empty());
 }
 
 TEST(TertiaryStoreTest, FlushCompletesAllPending) {

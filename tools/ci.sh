@@ -74,6 +74,21 @@ for dir in src/serpentine/*/; do
     docs_fail=1
   fi
 done
+# Every metric name a src/ call site passes as one string literal to
+# obs::IncrementCounter, SetGauge or ObserveHistogram must have a
+# backticked entry in docs/observability.md. Names built at run time
+# ("sched.builds." + name) are out of reach of this check.
+metric_names=$(for f in $(find src -name '*.cc' -o -name '*.h'); do
+  tr '\n' ' ' < "$f" |
+    grep -oE '(IncrementCounter|SetGauge|ObserveHistogram)\( *"[^"]+" *[,)]' |
+    sed 's/^[^"]*"//;s/".*$//'
+done | sort -u)
+for name in $metric_names; do
+  if ! grep -qF "\`$name\`" docs/observability.md; then
+    echo "error: metric $name is not in docs/observability.md" >&2
+    docs_fail=1
+  fi
+done
 if [ "$docs_fail" -ne 0 ]; then
   echo "== docs lint: FAILED ==" >&2
   exit 1

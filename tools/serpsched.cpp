@@ -26,7 +26,7 @@
 //   --fault-profile=P  execute the schedule under fault injection and
 //                      report recovery accounting. P is none|light|heavy
 //                      or a key=value profile file (see
-//                      sim/fault_injector.h); "none" still runs the
+//                      drive/fault_injector.h); "none" still runs the
 //                      recovering executor and must match the estimate.
 //   --fault-seed=N     fault stream seed (default: the profile's seed)
 //   --trace=FILE       execute the schedule and write a Chrome trace_event
