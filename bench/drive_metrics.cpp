@@ -83,7 +83,7 @@ int main() {
         "read"}) {
     const sched::RegistryEntry* entry = sched::Registry::Default().Find(name);
     if (entry == nullptr) continue;
-    auto schedule = entry->build(model, 0, requests, entry->options);
+    auto schedule = entry->Build(model, 0, requests);
     if (!schedule.ok()) {
       std::fprintf(stderr, "%s: %s\n", name,
                    schedule.status().ToString().c_str());
@@ -102,8 +102,8 @@ int main() {
   // The fault-accounting row: the same LOSS schedule executed on
   // Metered(Fault(Model)) under the heavy profile.
   {
-    auto schedule = sched::Registry::Default().Build(model, 0, requests,
-                                                     "loss");
+    auto schedule =
+        sched::Registry::Default().Find("loss")->Build(model, 0, requests);
     if (!schedule.ok()) {
       std::fprintf(stderr, "loss: %s\n", schedule.status().ToString().c_str());
       return 1;

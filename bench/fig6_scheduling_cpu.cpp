@@ -51,7 +51,7 @@ void RunScheduling(benchmark::State& state, const char* scheduler_name) {
   for (auto _ : state) {
     const Batch& b = batches[next];
     next = (next + 1) % kBatches;
-    auto s = entry->build(model, b.initial, b.requests, entry->options);
+    auto s = entry->Build(model, b.initial, b.requests);
     benchmark::DoNotOptimize(s);
   }
   state.SetComplexityN(n);

@@ -119,11 +119,11 @@ int main(int argc, char** argv) {
       const sched::RegistryEntry* entry = registry.Find(algo.name);
       if (entry == nullptr) return Fail("scheduler not registered", algo.name);
       auto begin = std::chrono::steady_clock::now();
-      auto schedule = entry->build(model, initial, batch, entry->options);
+      auto schedule = entry->Build(model, initial, batch);
       double wall = bench::SecondsSince(begin);
       for (int rep = 1; rep < reps; ++rep) {
         begin = std::chrono::steady_clock::now();
-        auto again = entry->build(model, initial, batch, entry->options);
+        auto again = entry->Build(model, initial, batch);
         wall = std::min(wall, bench::SecondsSince(begin));
       }
       if (!schedule.ok()) {
@@ -153,7 +153,7 @@ int main(int argc, char** argv) {
         sim::GenerateUniformRequests(rng, oropt_n, total);
     const sched::RegistryEntry* entry =
         registry.Find(oropt_n <= kDenseLossCap ? "loss" : "loss-mt");
-    auto schedule = entry->build(model, initial, batch, entry->options);
+    auto schedule = entry->Build(model, initial, batch);
     if (!schedule.ok()) {
       return Fail("or-opt base build failed", schedule.status().ToString());
     }

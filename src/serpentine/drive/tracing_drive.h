@@ -7,7 +7,7 @@
 // tests/obs_test.cc).
 //
 // The decorator keeps its own virtual clock: the sum of every op's total
-// seconds since construction (or the last set_clock_seconds). Stack it
+// seconds since construction. Stack it
 // outermost — Tracing(Metered(Fault(Model))) — so its clock covers
 // everything execution experienced, recovery time included, and spans line
 // up with the executor's completion stamps.
@@ -37,13 +37,6 @@ class TracingDrive : public Drive {
     inner_->SetPosition(position);
   }
   const tape::LocateModel& model() const override { return inner_->model(); }
-
-  /// Virtual seconds of drive activity observed since construction (or the
-  /// last set_clock_seconds).
-  double clock_seconds() const { return clock_seconds_; }
-  /// Aligns the span clock with an outer virtual timeline (e.g. a queue
-  /// simulation's arrival clock) so drive spans land at absolute times.
-  void set_clock_seconds(double seconds) { clock_seconds_ = seconds; }
 
  private:
   /// Advances the clock and, when a recorder is active, emits the op span

@@ -103,8 +103,8 @@ StatusOr<MigrationPlan> PlanMigration(const tape::Dlt4000LocateModel& model,
           sched::Request{g * target.group_segments(), size});
       batch.segments += size;
     }
-    StatusOr<sched::Schedule> schedule = (*entry)->build(
-        model, position, std::move(reads), (*entry)->options);
+    StatusOr<sched::Schedule> schedule =
+        (*entry)->Build(model, position, std::move(reads));
     if (!schedule.ok()) return schedule.status();
     sim::ExecutionResult read_result =
         sim::ExecuteSchedule(model, schedule.value());
@@ -204,8 +204,8 @@ StatusOr<InterleavedResult> RunInterleavedMigration(
         waiting[a.segment].push_back(a.time);
         requests.push_back(sched::Request{a.segment, 1});
       }
-      StatusOr<sched::Schedule> schedule = (*entry)->build(
-          model, position, std::move(requests), (*entry)->options);
+      StatusOr<sched::Schedule> schedule =
+          (*entry)->Build(model, position, std::move(requests));
       if (!schedule.ok()) return schedule.status();
       double start = clock;
       for (const sched::Request& r : schedule.value().order) {
@@ -249,8 +249,8 @@ StatusOr<InterleavedResult> RunInterleavedMigration(
         reads.push_back(sched::Request{g * target.group_segments(),
                                        GroupSize(target, g)});
       }
-      StatusOr<sched::Schedule> schedule = (*entry)->build(
-          model, position, std::move(reads), (*entry)->options);
+      StatusOr<sched::Schedule> schedule =
+          (*entry)->Build(model, position, std::move(reads));
       if (!schedule.ok()) return schedule.status();
       sim::ExecutionResult reads_result =
           sim::ExecuteSchedule(model, schedule.value());

@@ -393,7 +393,7 @@ StatusOr<PlacementEvaluation> EvaluatePlacement(
     eval.requests += static_cast<int64_t>(logical.size());
     std::vector<sched::Request> physical = placement.RemapBatch(logical);
     StatusOr<sched::Schedule> schedule =
-        entry.build(model, position, std::move(physical), entry.options);
+        entry.Build(model, position, std::move(physical));
     if (!schedule.ok()) return schedule.status();
     sim::ExecutionResult result =
         sim::ExecuteSchedule(model, schedule.value());

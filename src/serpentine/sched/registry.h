@@ -1,17 +1,20 @@
-// Scheduler registry: named scheduler configurations (algorithm + default
-// options + build factory) so tools and benches select schedulers by name
-// instead of switching on the Algorithm enum in each binary.
+// Scheduler registry: a fixed table of names for (Algorithm,
+// SchedulerOptions) pairs, so tools and benches select schedulers by name
+// instead of switching on the Algorithm enum in each binary. Every entry
+// builds through BuildSchedule; the pair is a scheduler's only identity.
 //
 // The default registry carries the paper's nine algorithms under their
 // AlgorithmName spellings, plus the named variants the paper discusses:
 // "loss-coalesced" (LOSS with the recommended 1410-segment coalescing
-// threshold) and "sltf-naive" (the textbook O(n²) greedy SLTF).
+// threshold) and "sltf-naive" (the textbook O(n²) greedy SLTF), and the
+// builders this library adds: "ltsp-exact", "loss-mt" and
+// "loss-mt-oropt".
 #ifndef SERPENTINE_SCHED_REGISTRY_H_
 #define SERPENTINE_SCHED_REGISTRY_H_
 
-#include <functional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "serpentine/sched/request.h"
@@ -21,35 +24,30 @@
 
 namespace serpentine::sched {
 
-/// One registered scheduler configuration.
+/// One named scheduler configuration.
 struct RegistryEntry {
   /// Lookup key ("loss", "sltf-naive", ...). Lowercase, stable.
   std::string name;
   /// Display label for tables and figures ("LOSS", "SLTF*", ...).
   std::string label;
-  /// What the factory builds with.
+  /// What Build builds with.
   Algorithm algorithm = Algorithm::kFifo;
-  SchedulerOptions options;
+  SchedulerOptions options = {};
   /// One-line human description.
   std::string description;
-  /// Schedule factory. Entries registered without one build via
-  /// BuildSchedule(model, initial, requests, algorithm, options); custom
-  /// factories may wrap that (pre/post-processing, option overrides).
-  std::function<serpentine::StatusOr<Schedule>(
-      const tape::LocateModel& model, tape::SegmentId initial_position,
-      std::vector<Request> requests, const SchedulerOptions& options)>
-      build;
+
+  /// BuildSchedule(model, initial_position, requests, algorithm, options),
+  /// reported as the wall-clock span "build:<name>" (category "sched") and
+  /// the counter "sched.builds.<name>" — one relaxed atomic load each when
+  /// observability is off.
+  serpentine::StatusOr<Schedule> Build(const tape::LocateModel& model,
+                                       tape::SegmentId initial_position,
+                                       std::vector<Request> requests) const;
 };
 
-/// Name → scheduler-configuration map with registration order preserved.
+/// Name → scheduler-configuration table, in a fixed order.
 class Registry {
  public:
-  Registry() = default;
-
-  /// Adds `entry` (filling in a BuildSchedule-based factory if none is
-  /// set). Re-registering a name replaces the earlier entry in place.
-  void Register(RegistryEntry entry);
-
   /// The entry for `name`, or nullptr.
   const RegistryEntry* Find(std::string_view name) const;
 
@@ -58,23 +56,18 @@ class Registry {
   serpentine::StatusOr<const RegistryEntry*> Resolve(
       std::string_view name) const;
 
-  /// Builds a schedule with the named entry's factory and default options.
-  serpentine::StatusOr<Schedule> Build(const tape::LocateModel& model,
-                                       tape::SegmentId initial_position,
-                                       std::vector<Request> requests,
-                                       std::string_view name) const;
-
-  /// All entries, in registration order.
+  /// All entries, in table order.
   const std::vector<RegistryEntry>& entries() const { return entries_; }
 
-  /// Registered names, in registration order (for usage strings).
-  std::vector<std::string> names() const;
-
-  /// The shared default registry: every Algorithm under its AlgorithmName,
-  /// plus the "loss-coalesced" and "sltf-naive" variants.
+  /// The shared default registry: the paper's nine algorithms under their
+  /// AlgorithmName spellings, then "loss-coalesced", "sltf-naive",
+  /// "ltsp-exact", "loss-mt" and "loss-mt-oropt".
   static const Registry& Default();
 
  private:
+  explicit Registry(std::vector<RegistryEntry> entries)
+      : entries_(std::move(entries)) {}
+
   std::vector<RegistryEntry> entries_;
 };
 

@@ -1,7 +1,6 @@
 #include "serpentine/sched/request.h"
 
 #include <algorithm>
-#include <string>
 
 namespace serpentine::sched {
 
@@ -25,21 +24,14 @@ const char* AlgorithmName(Algorithm a) {
       return "loss";
     case Algorithm::kSparseLoss:
       return "sparse-loss";
+    case Algorithm::kLtsp:
+      return "ltsp-exact";
+    case Algorithm::kLossMt:
+      return "loss-mt";
+    case Algorithm::kLossMtOrOpt:
+      return "loss-mt-oropt";
   }
   return "unknown";
-}
-
-serpentine::StatusOr<Algorithm> AlgorithmFromString(std::string_view name) {
-  for (Algorithm a : kAllAlgorithms) {
-    if (name == AlgorithmName(a)) return a;
-  }
-  std::string known;
-  for (Algorithm a : kAllAlgorithms) {
-    if (!known.empty()) known += "|";
-    known += AlgorithmName(a);
-  }
-  return InvalidArgumentError("unknown algorithm: \"" + std::string(name) +
-                              "\" (expected " + known + ")");
 }
 
 bool IsPermutationOfRequests(const Schedule& schedule,

@@ -3,11 +3,9 @@
 #define SERPENTINE_SCHED_REQUEST_H_
 
 #include <cstdint>
-#include <string_view>
 #include <vector>
 
 #include "serpentine/tape/types.h"
-#include "serpentine/util/statusor.h"
 
 namespace serpentine::sched {
 
@@ -27,29 +25,27 @@ struct Request {
   bool operator==(const Request&) const = default;
 };
 
-/// The scheduling algorithms of the paper (§4).
+/// The scheduling algorithms of the paper (§4), then the builders this
+/// library adds beyond it.
 enum class Algorithm {
-  kRead,       ///< read the entire tape sequentially, then rewind
-  kFifo,       ///< service requests in arrival order
-  kSort,       ///< ascending segment number (optimal for helical scan)
-  kOpt,        ///< exact optimum (exponential; n ≤ ~12)
-  kSltf,       ///< shortest locate time first (greedy nearest-next)
-  kScan,       ///< elevator over (track, section)
-  kWeave,      ///< predefined section ordering, no locate-time queries
-  kLoss,       ///< greedy asymmetric-TSP edge selection by maximal loss
-  kSparseLoss  ///< LOSS on a weave-order sparse graph + path contraction
+  kRead,        ///< read the entire tape sequentially, then rewind
+  kFifo,        ///< service requests in arrival order
+  kSort,        ///< ascending segment number (optimal for helical scan)
+  kOpt,         ///< exact optimum (exponential; n ≤ ~12)
+  kSltf,        ///< shortest locate time first (greedy nearest-next)
+  kScan,        ///< elevator over (track, section)
+  kWeave,       ///< predefined section ordering, no locate-time queries
+  kLoss,        ///< greedy asymmetric-TSP edge selection by maximal loss
+  kSparseLoss,  ///< LOSS on a weave-order sparse graph + path contraction
+  kLtsp,        ///< exact line-TSP interval DP (≤ tsp::kMaxLtspCities)
+  kLossMt,      ///< partitioned parallel LOSS
+  kLossMtOrOpt  ///< partitioned parallel LOSS, then windowed Or-opt
 };
 
-/// Stable lowercase name ("loss", "sltf", ...).
+/// Stable lowercase name ("loss", "sltf", "ltsp-exact", ...).
 const char* AlgorithmName(Algorithm a);
 
-/// Inverse of AlgorithmName: parses "loss", "sltf", "sparse-loss", ... into
-/// the enum. InvalidArgument (listing the valid names) for anything else.
-/// The single parsing point for CLI flags, bench labels, and the scheduler
-/// registry.
-serpentine::StatusOr<Algorithm> AlgorithmFromString(std::string_view name);
-
-/// All algorithms, in the order the paper introduces them.
+/// The paper's nine algorithms, in the order it introduces them.
 inline constexpr Algorithm kAllAlgorithms[] = {
     Algorithm::kRead, Algorithm::kFifo,  Algorithm::kOpt,
     Algorithm::kSort, Algorithm::kSltf,  Algorithm::kScan,

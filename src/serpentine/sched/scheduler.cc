@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "serpentine/sched/internal.h"
+#include "serpentine/sched/local_search.h"
 
 namespace serpentine::sched {
 
@@ -72,6 +73,25 @@ StatusOr<Schedule> BuildSchedule(const tape::LocateModel& model,
               ? options.loss_coalesce_threshold
               : kDefaultCoalesceThreshold,
           options.construction_workers);
+      break;
+    case Algorithm::kLtsp: {
+      SERPENTINE_ASSIGN_OR_RETURN(
+          schedule.order,
+          internal::ScheduleLtsp(model, initial_position, std::move(requests),
+                                 options.loss_coalesce_threshold));
+      break;
+    }
+    case Algorithm::kLossMt:
+    case Algorithm::kLossMtOrOpt:
+      schedule.order = internal::ScheduleLossPartitioned(
+          model, initial_position, std::move(requests),
+          options.loss_coalesce_threshold, kDefaultLossPartitionSize,
+          options.construction_workers);
+      if (algorithm == Algorithm::kLossMtOrOpt) {
+        LocalSearchOptions search;
+        search.insertion_window = kLossMtOrOptInsertionWindow;
+        ImproveSchedule(model, &schedule, search);
+      }
       break;
   }
   return schedule;

@@ -34,18 +34,24 @@ struct SchedulerOptions {
   int construction_workers = 1;
 };
 
-/// Fragment size (coalesced groups) of the partitioned "loss-mt" builder:
-/// large enough that the greedy sees a whole band of tape per fragment,
-/// small enough that a fragment's dense work stays cache-resident and
-/// 100k-request batches yield ~100 fragments to spread across workers.
-/// Batches no larger than one fragment use plain LOSS.
+/// Fragment size (coalesced groups) of the partitioned builders
+/// (kLossMt, kLossMtOrOpt): large enough that the greedy sees a whole band
+/// of tape per fragment, small enough that a fragment's dense work stays
+/// cache-resident and 100k-request batches yield ~100 fragments to spread
+/// across workers. Batches no larger than one fragment use plain LOSS.
 inline constexpr int kDefaultLossPartitionSize = 1024;
+
+/// Or-opt insertion window of kLossMtOrOpt's polishing pass: keeps the
+/// search near-linear at 100k requests, where LOSS has already placed
+/// related requests near each other.
+inline constexpr int kLossMtOrOptInsertionWindow = 64;
 
 /// Reorders `requests` for minimal execution time starting from
 /// `initial_position`, using `algorithm`.
 ///
 /// Fails with InvalidArgument if OPT is asked for more requests than the
-/// exact solver supports (the paper itself stops OPT at 12), or if any
+/// exact solver supports (the paper itself stops OPT at 12), if LTSP is
+/// asked for more than tsp::kMaxLtspCities coalesced groups, or if any
 /// request lies outside the tape.
 serpentine::StatusOr<Schedule> BuildSchedule(
     const tape::LocateModel& model, tape::SegmentId initial_position,

@@ -7,9 +7,25 @@
 
 #include "serpentine/sim/serving_core.h"
 #include "serpentine/tsp/exact.h"
+#include "serpentine/tsp/ltsp.h"
 #include "serpentine/util/check.h"
 
 namespace serpentine::sim {
+namespace {
+
+/// The largest batch `algorithm` can schedule, or 0 for no limit.
+int64_t BatchLimit(sched::Algorithm algorithm) {
+  switch (algorithm) {
+    case sched::Algorithm::kOpt:
+      return tsp::kMaxHeldKarpCities;
+    case sched::Algorithm::kLtsp:
+      return tsp::kMaxLtspCities;
+    default:
+      return 0;
+  }
+}
+
+}  // namespace
 
 Status ValidateOnlineServerConfig(const OnlineServerConfig& config) {
   if (!std::isfinite(config.arrival_rate_per_hour) ||
@@ -93,32 +109,31 @@ Status ValidateOnlineServerConfig(const OnlineServerConfig& config) {
     SERPENTINE_RETURN_IF_ERROR(drive::ValidateBreakerPolicy(config.breaker));
   }
 
-  // OPT is exact and exponential: it refuses a batch of more than
-  // tsp::kMaxHeldKarpCities requests, and the serving loop cannot recover
-  // from a refused build. Reject any config that can hand OPT a larger
-  // batch. Only the dispatch cap bounds a batch below the stream length,
-  // and only without an aging bound, whose forced boarding can exceed it.
-  // The degradation ladder holds no OPT rung and replaces the algorithm.
+  // OPT and LTSP are exact: each refuses a batch above its solver's
+  // limit, and the serving loop cannot recover from a refused build.
+  // Reject any config that can hand one a larger batch. Only the dispatch
+  // cap bounds a batch below the stream length, and only without an aging
+  // bound, whose forced boarding can exceed it. The degradation ladder
+  // holds neither and replaces the algorithm.
+  const int64_t limit = BatchLimit(config.algorithm);
   int64_t max_batch = config.total_requests;
   if (config.dispatch_max_batch > 0 && config.max_wait_cycles == 0) {
     max_batch = std::min<int64_t>(max_batch, config.dispatch_max_batch);
   }
-  if (max_batch > tsp::kMaxHeldKarpCities) {
-    if (!config.degradation.enabled &&
-        config.algorithm == sched::Algorithm::kOpt) {
-      return InvalidArgumentError(
-          "OnlineServerConfig: algorithm opt schedules at most " +
-          std::to_string(tsp::kMaxHeldKarpCities) +
-          " requests per batch, but a batch can hold " +
-          std::to_string(max_batch) + " (total_requests = " +
-          std::to_string(config.total_requests) + ", dispatch_max_batch = " +
-          std::to_string(config.dispatch_max_batch) + ", max_wait_cycles = " +
-          std::to_string(config.max_wait_cycles) +
-          "); bound a batch with dispatch_max_batch <= " +
-          std::to_string(tsp::kMaxHeldKarpCities) +
-          " and max_wait_cycles = 0, or with total_requests <= " +
-          std::to_string(tsp::kMaxHeldKarpCities));
-    }
+  if (limit > 0 && max_batch > limit && !config.degradation.enabled) {
+    return InvalidArgumentError(
+        "OnlineServerConfig: algorithm " +
+        std::string(sched::AlgorithmName(config.algorithm)) +
+        " schedules at most " + std::to_string(limit) +
+        " requests per batch, but a batch can hold " +
+        std::to_string(max_batch) + " (total_requests = " +
+        std::to_string(config.total_requests) + ", dispatch_max_batch = " +
+        std::to_string(config.dispatch_max_batch) + ", max_wait_cycles = " +
+        std::to_string(config.max_wait_cycles) +
+        "); bound a batch with dispatch_max_batch <= " +
+        std::to_string(limit) +
+        " and max_wait_cycles = 0, or with total_requests <= " +
+        std::to_string(limit));
   }
   return OkStatus();
 }

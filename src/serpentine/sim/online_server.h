@@ -199,9 +199,9 @@ struct OnlineServerResult {
 /// Rejects NaN/negative/inconsistent configurations with a descriptive
 /// status: a positive finite arrival rate, 1 <= total_requests < 2^32,
 /// dispatch_min_batch >= 1, dispatch_max_wait_seconds > 0 (inf allowed,
-/// NaN not), valid nested fault and breaker policies, and no OPT
-/// algorithm that a batch of more than tsp::kMaxHeldKarpCities requests
-/// can reach.
+/// NaN not), valid nested fault and breaker policies, and no exact
+/// algorithm that a batch above its solver's limit can reach: more than
+/// tsp::kMaxHeldKarpCities requests for OPT, tsp::kMaxLtspCities for LTSP.
 Status ValidateOnlineServerConfig(const OnlineServerConfig& config);
 
 /// Runs the online server to completion (every arrival answered or shed).

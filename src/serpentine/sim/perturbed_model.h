@@ -42,8 +42,6 @@ class PerturbedLocateModel : public tape::LocateModel {
     return base_->SupportsConcurrentUse();
   }
 
-  double error_seconds() const { return error_; }
-
  private:
   const tape::LocateModel* base_;
   double error_;

@@ -30,13 +30,20 @@ void NoteBackoff(double start_seconds, double backoff_seconds) {
 /// Algorithm used when re-planning the remainder mid-batch. READ makes no
 /// sense for a partial remainder and OPT blows up past the paper's
 /// 12-request ceiling, so both repair with LOSS (the paper's recommended
-/// general-purpose scheduler); everything else re-plans with itself.
+/// general-purpose scheduler). So do the builders beyond the paper (LTSP
+/// and the partitioned LOSS pair). Everything else re-plans with itself.
 sched::Algorithm RepairAlgorithm(sched::Algorithm original, size_t remaining) {
-  if (original == sched::Algorithm::kRead) return sched::Algorithm::kLoss;
-  if (original == sched::Algorithm::kOpt && remaining > 12) {
-    return sched::Algorithm::kLoss;
+  switch (original) {
+    case sched::Algorithm::kRead:
+    case sched::Algorithm::kLtsp:
+    case sched::Algorithm::kLossMt:
+    case sched::Algorithm::kLossMtOrOpt:
+      return sched::Algorithm::kLoss;
+    case sched::Algorithm::kOpt:
+      return remaining > 12 ? sched::Algorithm::kLoss : original;
+    default:
+      return original;
   }
-  return original;
 }
 
 /// Virtual-time bookkeeping of one Execute call. Every charge lands in

@@ -447,7 +447,7 @@ void ServingCore::Dispatch() {
 
     StatusOr<sched::Schedule> schedule =
         entry != nullptr
-            ? entry->build(model, drive_->Position(), batch, entry->options)
+            ? entry->Build(model, drive_->Position(), batch)
             : sched::BuildSchedule(model, drive_->Position(), batch,
                                    config_.algorithm,
                                    config_.scheduler_options);

@@ -90,12 +90,12 @@ TEST_F(ParallelBuildTest, RegistryLossMtRespectsSchedulerOptions) {
   const RegistryEntry* entry = Registry::Default().Find("loss-mt");
   ASSERT_NE(entry, nullptr);
   std::vector<Request> requests = RandomRequests(200, 99);
-  auto a = entry->build(model_, 0, requests, entry->options);
+  auto a = entry->Build(model_, 0, requests);
   ASSERT_TRUE(a.ok());
   // Same entry, explicit single worker: identical output.
   SchedulerOptions serial = entry->options;
   serial.construction_workers = 1;
-  auto b = entry->build(model_, 0, requests, serial);
+  auto b = BuildSchedule(model_, 0, requests, entry->algorithm, serial);
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(a->order, b->order);
 }
@@ -154,9 +154,10 @@ TEST_F(ParallelBuildTest, RegistryCarriesTheNewBuilders) {
     const RegistryEntry* entry = registry.Find(name);
     ASSERT_NE(entry, nullptr) << name;
     std::vector<Request> requests = RandomRequests(64, 103);
-    auto s = entry->build(model_, 0, requests, entry->options);
+    auto s = entry->Build(model_, 0, requests);
     ASSERT_TRUE(s.ok()) << name;
     EXPECT_TRUE(IsPermutationOfRequests(*s, requests)) << name;
+    EXPECT_EQ(s->algorithm, entry->algorithm) << name;
   }
 }
 
@@ -167,8 +168,8 @@ TEST_F(ParallelBuildTest, LossMtOroptNeverWorsensLossMt) {
   ASSERT_NE(base, nullptr);
   ASSERT_NE(improved, nullptr);
   std::vector<Request> requests = RandomRequests(250, 107);
-  auto a = base->build(model_, 0, requests, base->options);
-  auto b = improved->build(model_, 0, requests, improved->options);
+  auto a = base->Build(model_, 0, requests);
+  auto b = improved->Build(model_, 0, requests);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_LE(EstimateScheduleSeconds(model_, *b),

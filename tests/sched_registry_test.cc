@@ -1,10 +1,13 @@
 #include "serpentine/sched/registry.h"
 
+#include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "serpentine/obs/metrics.h"
 #include "serpentine/sched/coalesce.h"
 #include "serpentine/sched/scheduler.h"
 #include "serpentine/sim/experiment.h"
@@ -35,38 +38,19 @@ class RegistryTest : public ::testing::Test {
 };
 
 // ---------------------------------------------------------------------------
-// AlgorithmFromString.
-// ---------------------------------------------------------------------------
-
-TEST(AlgorithmFromStringTest, RoundTripsEveryAlgorithmName) {
-  for (Algorithm a : kAllAlgorithms) {
-    auto parsed = AlgorithmFromString(AlgorithmName(a));
-    ASSERT_TRUE(parsed.ok()) << AlgorithmName(a);
-    EXPECT_EQ(*parsed, a);
-  }
-}
-
-TEST(AlgorithmFromStringTest, RejectsUnknownNamesWithTheValidList) {
-  for (const char* bad : {"", "LOSS", "loss ", "sltf2", "nearest"}) {
-    auto parsed = AlgorithmFromString(bad);
-    ASSERT_FALSE(parsed.ok()) << "\"" << bad << "\" parsed unexpectedly";
-    // The error teaches the valid spellings.
-    EXPECT_NE(parsed.status().ToString().find("sparse-loss"),
-              std::string::npos);
-  }
-}
-
-// ---------------------------------------------------------------------------
 // The default registry.
 // ---------------------------------------------------------------------------
 
 TEST(DefaultRegistryTest, CarriesEveryAlgorithmUnderItsName) {
   const Registry& registry = Registry::Default();
-  for (Algorithm a : kAllAlgorithms) {
+  std::vector<Algorithm> algorithms(std::begin(kAllAlgorithms),
+                                    std::end(kAllAlgorithms));
+  algorithms.insert(algorithms.end(), {Algorithm::kLtsp, Algorithm::kLossMt,
+                                       Algorithm::kLossMtOrOpt});
+  for (Algorithm a : algorithms) {
     const RegistryEntry* entry = registry.Find(AlgorithmName(a));
     ASSERT_NE(entry, nullptr) << AlgorithmName(a);
     EXPECT_EQ(entry->algorithm, a);
-    EXPECT_NE(entry->build, nullptr);
     EXPECT_FALSE(entry->description.empty());
   }
   // Nine paper algorithms + five named variants (loss-coalesced,
@@ -119,80 +103,29 @@ TEST(DefaultRegistryTest, ResolveExplainsWhatIsRegistered) {
 }
 
 TEST(DefaultRegistryTest, NamesPreserveRegistrationOrder) {
-  std::vector<std::string> names = Registry::Default().names();
-  ASSERT_EQ(names.size(), 14u);
-  // The paper's order first, variants appended.
-  EXPECT_EQ(names.front(), "read");
-  EXPECT_EQ(names[1], "fifo");
-  EXPECT_EQ(names[9], "loss-coalesced");
-  EXPECT_EQ(names[10], "sltf-naive");
-  EXPECT_EQ(names[11], "ltsp-exact");
-  EXPECT_EQ(names[12], "loss-mt");
-  EXPECT_EQ(names.back(), "loss-mt-oropt");
-}
-
-// ---------------------------------------------------------------------------
-// Registration semantics.
-// ---------------------------------------------------------------------------
-
-TEST(RegistrySemanticsTest, RegisterFillsLabelAndDefaultFactory) {
-  Registry registry;
-  RegistryEntry entry;
-  entry.name = "loss";
-  entry.algorithm = Algorithm::kLoss;
-  registry.Register(std::move(entry));
-
-  const RegistryEntry* stored = registry.Find("loss");
-  ASSERT_NE(stored, nullptr);
-  EXPECT_EQ(stored->label, "LOSS");
-  ASSERT_NE(stored->build, nullptr);
-}
-
-TEST(RegistrySemanticsTest, ReRegisteringANameReplacesInPlace) {
-  Registry registry;
-  RegistryEntry first;
-  first.name = "a";
-  first.description = "first";
-  registry.Register(std::move(first));
-  RegistryEntry other;
-  other.name = "b";
-  registry.Register(std::move(other));
-
-  RegistryEntry replacement;
-  replacement.name = "a";
-  replacement.description = "second";
-  replacement.algorithm = Algorithm::kScan;
-  registry.Register(std::move(replacement));
-
-  ASSERT_EQ(registry.entries().size(), 2u);
-  EXPECT_EQ(registry.entries()[0].name, "a");
-  EXPECT_EQ(registry.entries()[0].description, "second");
-  EXPECT_EQ(registry.entries()[0].algorithm, Algorithm::kScan);
-  EXPECT_EQ(registry.entries()[1].name, "b");
-}
-
-TEST(RegistrySemanticsTest, CustomFactoryWins) {
-  Registry registry;
-  RegistryEntry entry;
-  entry.name = "canned";
-  entry.build = [](const tape::LocateModel&, tape::SegmentId initial,
-                   std::vector<Request> requests,
-                   const SchedulerOptions&) -> serpentine::StatusOr<Schedule> {
-    Schedule s;
-    s.algorithm = Algorithm::kFifo;
-    s.initial_position = initial;
-    s.order = std::move(requests);
-    return s;
+  // The paper's order first, variants appended, each under its label.
+  const std::vector<std::pair<std::string, std::string>> expected = {
+      {"read", "READ"},
+      {"fifo", "FIFO"},
+      {"opt", "OPT"},
+      {"sort", "SORT"},
+      {"sltf", "SLTF"},
+      {"scan", "SCAN"},
+      {"weave", "WEAVE"},
+      {"loss", "LOSS"},
+      {"sparse-loss", "SPARSE-LOSS"},
+      {"loss-coalesced", "LOSS+C"},
+      {"sltf-naive", "SLTF(n2)"},
+      {"ltsp-exact", "LTSP"},
+      {"loss-mt", "LOSS-MT"},
+      {"loss-mt-oropt", "LOSS-MT+OR"},
   };
-  registry.Register(std::move(entry));
-
-  Dlt4000LocateModel model(TapeGeometry::Generate(Dlt4000TapeParams(), 1),
-                           Dlt4000Timings());
-  std::vector<Request> requests = {{100, 1}, {5, 1}};
-  auto schedule = registry.Build(model, 42, requests, "canned");
-  ASSERT_TRUE(schedule.ok());
-  EXPECT_EQ(schedule->initial_position, 42);
-  EXPECT_EQ(schedule->order, requests);  // untouched arrival order
+  const std::vector<RegistryEntry>& entries = Registry::Default().entries();
+  ASSERT_EQ(entries.size(), expected.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(entries[i].name, expected[i].first) << i;
+    EXPECT_EQ(entries[i].label, expected[i].second) << i;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -200,22 +133,34 @@ TEST(RegistrySemanticsTest, CustomFactoryWins) {
 // ---------------------------------------------------------------------------
 
 TEST_F(RegistryTest, BuildMatchesDirectBuildSchedule) {
-  std::vector<Request> requests = UniformBatch(64, 5);
-  const Registry& registry = Registry::Default();
-
-  for (const char* name : {"fifo", "sort", "scan", "weave", "sltf", "loss",
-                           "sparse-loss", "read"}) {
-    const RegistryEntry* entry = registry.Find(name);
-    ASSERT_NE(entry, nullptr) << name;
-    auto via_registry = registry.Build(model_, 0, requests, name);
-    ASSERT_TRUE(via_registry.ok()) << name;
-    auto direct = BuildSchedule(model_, 0, requests, entry->algorithm,
-                                entry->options);
-    ASSERT_TRUE(direct.ok()) << name;
-    EXPECT_EQ(via_registry->order, direct->order) << name;
-    EXPECT_EQ(via_registry->full_tape_scan, direct->full_tape_scan) << name;
-    EXPECT_EQ(via_registry->algorithm, entry->algorithm) << name;
+  for (const RegistryEntry& entry : Registry::Default().entries()) {
+    std::vector<Request> requests =
+        UniformBatch(entry.algorithm == Algorithm::kOpt ? 12 : 64, 5);
+    auto via_registry = entry.Build(model_, 0, requests);
+    ASSERT_TRUE(via_registry.ok()) << entry.name;
+    auto direct = BuildSchedule(model_, 0, requests, entry.algorithm,
+                                entry.options);
+    ASSERT_TRUE(direct.ok()) << entry.name;
+    EXPECT_EQ(via_registry->order, direct->order) << entry.name;
+    EXPECT_EQ(via_registry->full_tape_scan, direct->full_tape_scan)
+        << entry.name;
+    EXPECT_EQ(via_registry->algorithm, entry.algorithm) << entry.name;
   }
+}
+
+TEST_F(RegistryTest, BuildIsObservedUnderTheEntryName) {
+  obs::MetricsRegistry metrics;
+  obs::MetricsRegistry::SetActive(&metrics);
+  const RegistryEntry* entry = Registry::Default().Find("loss-mt-oropt");
+  ASSERT_NE(entry, nullptr);
+  ASSERT_TRUE(entry->Build(model_, 0, UniformBatch(16, 3)).ok());
+  ASSERT_TRUE(entry->Build(model_, 0, UniformBatch(16, 4)).ok());
+  // A direct BuildSchedule call stays unobserved.
+  ASSERT_TRUE(BuildSchedule(model_, 0, UniformBatch(16, 5), entry->algorithm,
+                            entry->options)
+                  .ok());
+  obs::MetricsRegistry::SetActive(nullptr);
+  EXPECT_EQ(metrics.counter("sched.builds.loss-mt-oropt").value(), 2);
 }
 
 TEST_F(RegistryTest, VariantBuildsDifferFromTheirBasesWhereExpected) {
@@ -225,24 +170,26 @@ TEST_F(RegistryTest, VariantBuildsDifferFromTheirBasesWhereExpected) {
   // permutation of the batch.
   std::vector<Request> requests = UniformBatch(48, 9);
   auto coalesced =
-      Registry::Default().Build(model_, 0, requests, "loss-coalesced");
+      Registry::Default().Find("loss-coalesced")->Build(model_, 0, requests);
   ASSERT_TRUE(coalesced.ok());
   EXPECT_TRUE(IsPermutationOfRequests(*coalesced, requests));
 
-  auto naive = Registry::Default().Build(model_, 0, requests, "sltf-naive");
+  auto naive =
+      Registry::Default().Find("sltf-naive")->Build(model_, 0, requests);
   ASSERT_TRUE(naive.ok());
   EXPECT_TRUE(IsPermutationOfRequests(*naive, requests));
   // The naive O(n^2) SLTF and the section-based SLTF implement the same
   // greedy rule; both must produce a valid schedule for the same batch.
-  auto fast = Registry::Default().Build(model_, 0, requests, "sltf");
+  auto fast = Registry::Default().Find("sltf")->Build(model_, 0, requests);
   ASSERT_TRUE(fast.ok());
   EXPECT_EQ(fast->order.size(), naive->order.size());
 }
 
 TEST_F(RegistryTest, BuildUnknownNameFails) {
-  auto result =
-      Registry::Default().Build(model_, 0, UniformBatch(4, 1), "nope");
-  EXPECT_FALSE(result.ok());
+  // An unknown name resolves to no entry, so nothing can be built from it.
+  EXPECT_EQ(Registry::Default().Find("nope"), nullptr);
+  auto result = Registry::Default().Resolve("nope");
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -6,14 +6,17 @@
 #include <cstdint>
 #include <cstdlib>
 #include <limits>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "queue_sim_reference.h"
 #include "serpentine/obs/trace.h"
 #include "serpentine/sched/estimator.h"
+#include "serpentine/sched/registry.h"
 #include "serpentine/sim/serving_core.h"
 #include "serpentine/tsp/exact.h"
+#include "serpentine/tsp/ltsp.h"
 #include "serpentine/util/lrand48.h"
 #include "serpentine/util/replicate.h"
 
@@ -593,6 +596,70 @@ TEST_F(OnlineServerTest, OptBatchesStayWithinTheHeldKarpLimit) {
     EXPECT_EQ(r->arrivals, config->total_requests);
     EXPECT_EQ(r->shed + r->completed + r->failed, r->arrivals);
   }
+}
+
+TEST_F(OnlineServerTest, LtspBatchesStayWithinTheIntervalDpLimit) {
+  // LTSP's interval DP refuses a batch of more than tsp::kMaxLtspCities
+  // groups, so the validator holds it to that bound by OPT's rule.
+  OnlineServerConfig ltsp;
+  ltsp.algorithm = sched::Algorithm::kLtsp;
+  ltsp.total_requests = tsp::kMaxLtspCities + 1;
+  Status s = ValidateOnlineServerConfig(ltsp);
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  for (const std::string& named :
+       {std::to_string(tsp::kMaxLtspCities), std::string("ltsp-exact")}) {
+    EXPECT_NE(s.message().find(named), std::string::npos)
+        << named << " missing from: " << s.message();
+  }
+
+  // A cap at the limit bounds every batch.
+  OnlineServerConfig capped = ltsp;
+  capped.dispatch_max_batch = tsp::kMaxLtspCities;
+  capped.max_wait_cycles = 0;
+  EXPECT_TRUE(ValidateOnlineServerConfig(capped).ok());
+
+  // The degradation ladder replaces the algorithm and has no LTSP rung.
+  for (OnlineServerConfig config : {capped, ltsp}) {
+    config.degradation.enabled = true;
+    EXPECT_TRUE(ValidateOnlineServerConfig(config).ok());
+  }
+}
+
+TEST_F(OnlineServerTest, ServesWhatEachRegistryNameBuilds) {
+  // Every registry name serves the scheduler it builds. With all N
+  // arrivals boarding one batch, the drive is busy exactly as long as the
+  // entry's own schedule of those arrivals, from BOT, is estimated to
+  // take. The variants that refine LOSS must show it: on this seed their
+  // schedules estimate differently from plain LOSS.
+  std::map<std::string, double> estimates;
+  for (const sched::RegistryEntry& entry :
+       sched::Registry::Default().entries()) {
+    OnlineServerConfig config;
+    config.algorithm = entry.algorithm;
+    config.scheduler_options = entry.options;
+    config.total_requests = entry.algorithm == sched::Algorithm::kOpt ? 12 : 64;
+    config.dispatch_min_batch = static_cast<int>(config.total_requests);
+    config.seed = 5;
+    ASSERT_TRUE(ValidateOnlineServerConfig(config).ok()) << entry.name;
+
+    std::vector<sched::Request> batch;
+    for (const ServingRequest& a :
+         GenerateOnlineArrivals(config, model_.geometry().total_segments())) {
+      batch.push_back(sched::Request{a.segment, 1});
+    }
+    StatusOr<sched::Schedule> schedule = entry.Build(model_, 0, batch);
+    ASSERT_TRUE(schedule.ok()) << entry.name;
+    const double estimate = sched::EstimateScheduleSeconds(model_, *schedule);
+
+    StatusOr<OnlineServerResult> r = RunOnlineServer(model_, config);
+    ASSERT_TRUE(r.ok()) << entry.name << ": " << r.status().ToString();
+    EXPECT_EQ(r->batches, 1) << entry.name;
+    EXPECT_NEAR(r->drive_busy_seconds, estimate, 1e-9 * estimate)
+        << entry.name;
+    estimates[entry.name] = estimate;
+  }
+  EXPECT_NE(estimates.at("loss-mt-oropt"), estimates.at("loss"));
+  EXPECT_NE(estimates.at("ltsp-exact"), estimates.at("loss"));
 }
 
 TEST_F(OnlineServerTest, SaturatedFifoServesAtTheMeanServiceRate) {

@@ -8,10 +8,11 @@
 // comparison against FIFO service.
 //
 // Options:
-//   --algorithm=NAME   any registered scheduler (default loss):
-//                      read|fifo|sort|opt|sltf|scan|weave|loss|sparse-loss
-//                      plus variants loss-coalesced, sltf-naive
-//                      (see sched/registry.h)
+//   --algorithm=NAME   any registered scheduler (default loss), one of
+//                      the 14 names of sched/registry.h:
+//                      read|fifo|opt|sort|sltf|scan|weave|loss|
+//                      sparse-loss|loss-coalesced|sltf-naive|ltsp-exact|
+//                      loss-mt|loss-mt-oropt
 //   --drive=NAME       dlt4000|dlt7000|ibm3590 (default dlt4000)
 //   --tape-seed=N      cartridge identity (default 1)
 //   --initial=SEG      starting head position (default 0 = BOT)
@@ -345,8 +346,7 @@ int main(int argc, char** argv) {
   if (!args.trace_out.empty()) obs::TraceRecorder::SetActive(&recorder);
   if (!args.metrics_out.empty()) obs::MetricsRegistry::SetActive(&registry);
 
-  auto schedule = (*entry)->build(model, args.initial, requests,
-                                  (*entry)->options);
+  auto schedule = (*entry)->Build(model, args.initial, requests);
   if (!schedule.ok()) {
     std::fprintf(stderr, "scheduling failed: %s\n",
                  schedule.status().ToString().c_str());
@@ -409,8 +409,7 @@ int main(int argc, char** argv) {
     layout::OptimizerStats stats;
     layout::Placement proposed = optimizer.Optimize(heat, &stats);
     auto remapped = proposed.RemapBatch(requests);
-    auto replaced = (*entry)->build(model, args.initial,
-                                    std::move(remapped), (*entry)->options);
+    auto replaced = (*entry)->Build(model, args.initial, std::move(remapped));
     if (!replaced.ok()) {
       std::fprintf(stderr, "re-placed scheduling failed: %s\n",
                    replaced.status().ToString().c_str());
@@ -449,8 +448,7 @@ int main(int argc, char** argv) {
     auto builder = [&](int, tape::SegmentId initial,
                        std::vector<sched::Request> batch)
         -> StatusOr<sched::Schedule> {
-      auto s =
-          (*entry)->build(model, initial, std::move(batch), (*entry)->options);
+      auto s = (*entry)->Build(model, initial, std::move(batch));
       if (s.ok() && args.improve) sched::ImproveSchedule(model, &s.value());
       return s;
     };
